@@ -222,6 +222,16 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scene-forest",
@@ -239,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--backend", choices=("rule", "remote"), default="rule")
     p_pipe.add_argument("--out", required=True, help="output directory")
     p_pipe.add_argument("--batch", help="process every scene file in this directory")
-    p_pipe.add_argument("--jobs", type=int, default=4, help="batch worker count")
+    p_pipe.add_argument("--jobs", type=_positive_int, default=4, help="batch worker count")
     p_pipe.set_defaults(func=cmd_pipeline)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic dataset")

@@ -27,7 +27,6 @@ from .treebuild import depth
 @dataclass(frozen=True)
 class PlanTrace:
     plan: Plan
-    intermediate_states: tuple[SceneTree, ...]
     staged_moves: int
 
 
@@ -101,7 +100,6 @@ def plan_moves(initial: SceneTree, goal: SceneTree) -> PlanTrace:
     _check_pair(initial, goal)
     state = initial
     moves: list[MoveAction] = []
-    states: list[SceneTree] = []
     staged = 0
     while True:
         settled = _settled(state, goal)
@@ -128,12 +126,7 @@ def plan_moves(initial: SceneTree, goal: SceneTree) -> PlanTrace:
             staged += 1
         state = apply_move(state, move)
         moves.append(move)
-        states.append(state)
-    return PlanTrace(
-        plan=Plan(moves=tuple(moves)),
-        intermediate_states=tuple(states),
-        staged_moves=staged,
-    )
+    return PlanTrace(plan=Plan(moves=tuple(moves)), staged_moves=staged)
 
 
 def _state_key(parent: dict[str, str]) -> tuple:

@@ -1,8 +1,11 @@
 """HTTP client for a chat-completion-style reorganization backend.
 
-Sends the serialized tree plus task as a chat request, validates the
-returned tree block, and re-prompts with the violation text when the model
-breaks conservation or tree validity, up to the configured retry budget.
+Sends the serialized tree plus task as a chat request and parses the
+returned tree block. Each parsed reply then passes the goal gate,
+`reorganize.check_goal`, exactly once, here inside the retry loop: a reply
+that fails to parse or fails the gate is re-prompted with the violation
+text, up to the configured retry budget. The goal returned has passed the
+gate and is not checked again.
 """
 from __future__ import annotations
 
@@ -10,16 +13,32 @@ import os
 
 import requests
 
+# parse_tree_block is looked up through its module at call time so that
+# perfbench's tracer, which patches treetext.parse_tree_block, sees the call.
+from . import treetext
 from .errors import GoalParseError, InvalidGoal, UnknownId, BackendError
 from .model import ObjectInstance, SceneTree, TaskSpec
+from .reorganize import check_goal
 from .treetext import serialize_tree
 
 API_KEY_ENV = "SCENE_FOREST_API_KEY"
 
+PROMPT_VERSION = "1"
+
+PROMPT_PREAMBLE = (
+    "You control a robotic arm that cannot see its environment. The current "
+    "arrangement of objects on the work surface is given below as an indented "
+    "tree: each line is one object with its physical properties, and a line "
+    "indented under another means that object rests on it. Rearrange the "
+    "objects to accomplish the task. Use only the objects listed, use each "
+    "object exactly once, and reply with the final arrangement in the same "
+    "TREE ... END format."
+)
+
 
 def build_messages(tree: SceneTree, task: TaskSpec) -> list[dict]:
-    from .reorganize import PROMPT_PREAMBLE
-
+    """The prompt: fixed preamble as system message, tree block and task line
+    as user message."""
     user = f"{serialize_tree(tree)}\nTASK: {task.raw_prompt}\n"
     return [
         {"role": "system", "content": PROMPT_PREAMBLE},
@@ -45,9 +64,7 @@ def _post_chat(config, messages: list[dict]) -> str:
 
 
 def request_goal_tree(tree: SceneTree, task: TaskSpec, config) -> SceneTree:
-    """One reorganization round-trip, with validation-driven re-prompting."""
-    from .reorganize import check_goal, parse_goal_response
-
+    """One reorganization round-trip, with gate-driven re-prompting."""
     registry: list[ObjectInstance] = list(tree.nodes.values())
     messages = build_messages(tree, task)
     last_error: Exception | None = None
@@ -58,7 +75,7 @@ def request_goal_tree(tree: SceneTree, task: TaskSpec, config) -> SceneTree:
             last_error = exc
             continue
         try:
-            goal = parse_goal_response(content, registry)
+            goal = treetext.parse_tree_block(content, registry)
             check_goal(tree, goal)
             return goal
         except (GoalParseError, InvalidGoal, UnknownId) as exc:

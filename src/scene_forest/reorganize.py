@@ -1,8 +1,10 @@
 """Task-driven tree reorganization: deterministic rules or a remote model.
 
-Every backend output passes the same gate: object conservation (same id
-set as the input, each used once) and full tree validity. Remote responses
-are validated, never silently repaired.
+Every backend output passes one goal gate, `check_goal`, exactly once:
+same root and same id set as the input (each object used once) and full
+tree validity. Rule goals are checked in `reorganize`; remote goals are
+checked inside `remote.request_goal_tree`'s retry loop, where a failed
+check triggers a re-prompt, never a silent repair.
 """
 from __future__ import annotations
 
@@ -18,19 +20,6 @@ from .model import (
     fragility_rank,
 )
 from .treebuild import validate_tree
-from .treetext import serialize_tree
-
-PROMPT_VERSION = "1"
-
-PROMPT_PREAMBLE = (
-    "You control a robotic arm that cannot see its environment. The current "
-    "arrangement of objects on the work surface is given below as an indented "
-    "tree: each line is one object with its physical properties, and a line "
-    "indented under another means that object rests on it. Rearrange the "
-    "objects to accomplish the task. Use only the objects listed, use each "
-    "object exactly once, and reply with the final arrangement in the same "
-    "TREE ... END format."
-)
 
 
 class Backend(Enum):
@@ -179,31 +168,16 @@ def check_physical_constraints(tree: SceneTree) -> PhysicalConstraintReport:
     return PhysicalConstraintReport(violations=tuple(violations))
 
 
-def serialize_tree_prompt(tree: SceneTree, task: TaskSpec) -> str:
-    """Full text prompt: fixed preamble, tree block, then the task line."""
-    return f"{PROMPT_PREAMBLE}\n\n{serialize_tree(tree)}\nTASK: {task.raw_prompt}\n"
-
-
-def parse_goal_response(text: str, registry: list[ObjectInstance]) -> SceneTree:
-    """Extract and validate the first TREE...END block of a model response."""
-    from .treetext import parse_tree_block
-
-    tree = parse_tree_block(text, registry)
-    violations = validate_tree(tree)
-    if violations:
-        details = "; ".join(f"{v.kind.value}: {v.detail}" for v in violations)
-        raise InvalidGoal(f"proposed tree is invalid: {details}")
-    return tree
-
-
 def check_goal(initial: SceneTree, goal: SceneTree) -> None:
-    """Conservation + validity gate applied to every backend output."""
+    """The goal gate: conservation, same root, and validity."""
     if goal.ids() != initial.ids():
         missing = sorted(initial.ids() - goal.ids())
         extra = sorted(goal.ids() - initial.ids())
         raise InvalidGoal(
             f"object conservation violated (missing: {missing}, extra: {extra})"
         )
+    if goal.root != initial.root:
+        raise InvalidGoal(f"goal root {goal.root} differs from scene root {initial.root}")
     violations = validate_tree(goal)
     if violations:
         details = "; ".join(f"{v.kind.value}: {v.detail}" for v in violations)
@@ -212,22 +186,21 @@ def check_goal(initial: SceneTree, goal: SceneTree) -> None:
 
 def reorganize(tree: SceneTree, task: TaskSpec, config: BackendConfig) -> SceneTree:
     """Produce a goal tree for the task using the configured backend."""
-    if config.backend is Backend.RULE:
-        if task.kind is TaskKind.STACK_ALL:
-            goal = rule_stack_all(tree)
-        elif task.kind is TaskKind.UNSTACK_ALL:
-            goal = rule_unstack_all(tree)
-        elif task.kind is TaskKind.GROUP_BY_MATERIAL:
-            goal = rule_group_by_material(tree)
-        elif task.kind is TaskKind.STACK_OBJECT:
-            goal = rule_stack_object(tree, task.target)
-        else:
-            raise UnsupportedTask(
-                f"rule backend cannot handle free-text task {task.raw_prompt!r}"
-            )
-    else:
+    if config.backend is Backend.REMOTE:
         from .remote import request_goal_tree
 
-        goal = request_goal_tree(tree, task, config)
+        return request_goal_tree(tree, task, config)
+    if task.kind is TaskKind.STACK_ALL:
+        goal = rule_stack_all(tree)
+    elif task.kind is TaskKind.UNSTACK_ALL:
+        goal = rule_unstack_all(tree)
+    elif task.kind is TaskKind.GROUP_BY_MATERIAL:
+        goal = rule_group_by_material(tree)
+    elif task.kind is TaskKind.STACK_OBJECT:
+        goal = rule_stack_object(tree, task.target)
+    else:
+        raise UnsupportedTask(
+            f"rule backend cannot handle free-text task {task.raw_prompt!r}"
+        )
     check_goal(tree, goal)
     return goal

@@ -108,7 +108,6 @@ def _infer_root(
 def build_tree(
     triplets: list[SpatialTriplet],
     objects: list[ObjectInstance],
-    root_hint: str | None = None,
 ) -> BuildReport:
     """Assemble a SceneTree from triplets, reporting every rule violation."""
     violations: list[Violation] = []
@@ -150,25 +149,9 @@ def build_tree(
             Violation(ViolationKind.CYCLE, "support cycle: " + " -> ".join(cycle))
         )
 
-    if root_hint is not None:
-        if root_hint not in by_id:
-            violations.append(
-                Violation(ViolationKind.UNKNOWN_ID, f"root hint {root_hint!r} undeclared")
-            )
-            root = None
-        else:
-            root = root_hint
-            if root in parent:
-                violations.append(
-                    Violation(
-                        ViolationKind.CYCLE,
-                        f"root {root} rests on {parent[root]}",
-                    )
-                )
-    else:
-        root, root_violation = _infer_root(usable, objects)
-        if root_violation:
-            violations.append(root_violation)
+    root, root_violation = _infer_root(usable, objects)
+    if root_violation:
+        violations.append(root_violation)
 
     if violations:
         return BuildReport(tree=None, violations=tuple(violations))

@@ -24,18 +24,17 @@ from scene_forest.reorganize import (
     Backend,
     BackendConfig,
     check_physical_constraints,
-    parse_goal_response,
     reorganize,
     rule_stack_all,
-    serialize_tree_prompt,
 )
+from scene_forest.remote import build_messages
 from scene_forest.treebuild import (
     ViolationKind,
     build_tree,
     clear_objects,
     validate_tree,
 )
-from scene_forest.treetext import serialize_tree
+from scene_forest.treetext import parse_tree_block, serialize_tree
 
 from conftest import make_object, make_table, random_parent_map, random_tree
 
@@ -211,8 +210,8 @@ def test_criterion_8_serializer_fidelity():
     task = TaskSpec(kind=TaskKind.STACK_ALL, raw_prompt="stack all")
     for _ in range(1000):
         tree = random_tree(rng, rng.randint(0, 8))
-        prompt = serialize_tree_prompt(tree, task)
-        assert parse_goal_response(prompt, list(tree.nodes.values())) == tree
+        prompt = build_messages(tree, task)[1]["content"]
+        assert parse_tree_block(prompt, list(tree.nodes.values())) == tree
 
     # 200 seeded conservation corruptions on leaf lines.
     corruptions = 0
@@ -231,6 +230,6 @@ def test_criterion_8_serializer_fidelity():
             corrupted = lines[:index + 1] + [lines[index]] + lines[index + 1:]
             expected = DuplicateObject
         with pytest.raises(expected):
-            parse_goal_response("\n".join(corrupted) + "\n", registry)
+            parse_tree_block("\n".join(corrupted) + "\n", registry)
         corruptions += 1
     report(8, "1000 round trips exact; 200/200 corruptions rejected correctly")

@@ -135,6 +135,18 @@ class TestCmdPipeline:
         ]) == EXIT_OK
         assert len(list(out.glob("*/result.json"))) == 5
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_batch_rejects_nonpositive_jobs(self, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "pipeline", "--batch", str(tmp_path), "--task", "stack all",
+                "--out", str(tmp_path / "out"), "--jobs", jobs,
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "--jobs" in err
+
 
 class TestCmdGen:
     def test_deterministic_bytes(self, tmp_path):

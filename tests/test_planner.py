@@ -12,6 +12,7 @@ from scene_forest.errors import (
 )
 from scene_forest.model import MoveAction, Plan, SceneTree
 from scene_forest.planner import (
+    apply_move,
     diff_trees,
     execute_plan,
     optimal_plan_bfs,
@@ -134,9 +135,6 @@ class TestPlanMoves:
             trace = plan_moves(initial, goal)
             assert execute_plan(initial, trace.plan) == goal
             assert len(trace.plan) <= 2 * n
-            assert len(trace.intermediate_states) == len(trace.plan)
-            if trace.plan.moves:
-                assert trace.intermediate_states[-1] == goal
 
     def test_every_pick_is_clear_and_states_valid(self, rng):
         for _ in range(40):
@@ -144,10 +142,11 @@ class TestPlanMoves:
             goal = random_parent_map(rng, initial)
             trace = plan_moves(initial, goal)
             state = initial
-            for move, after in zip(trace.plan.moves, trace.intermediate_states):
-                assert move.object in clear_objects(state) | set()
-                state = after
+            for move in trace.plan.moves:
+                assert move.object in clear_objects(state)
+                state = apply_move(state, move)
                 assert validate_tree(state) == []
+            assert state == goal
 
     def test_lower_bound(self, rng):
         for _ in range(40):

@@ -133,6 +133,18 @@ def test_conservation_breach_reprompted_then_accepted(tree, task):
     assert "invalid" in retry_messages[-1]["content"]
 
 
+def test_wrong_root_reprompted_then_accepted(tree, task):
+    wrong_root = "TREE\ncup_1 [x]\n  table_1 [x]\n  book_1 [x]\nEND\n"
+    server = StubChatServer([(200, wrong_root), (200, goal_block(tree))])
+    try:
+        goal = request_goal_tree(tree, task, config_for(server, retries=1))
+    finally:
+        server.close()
+    assert goal.parent == {"cup_1": "table_1", "book_1": "cup_1"}
+    assert len(server.requests) == 2
+    assert "root" in server.requests[1]["body"]["messages"][-1]["content"]
+
+
 def test_http_failure_after_retries_is_backend_error(tree, task):
     server = StubChatServer([(500, ""), (500, "")])
     try:

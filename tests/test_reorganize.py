@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scene_forest.errors import (
     DuplicateObject,
+    GoalParseError,
+    InvalidGoal,
     MalformedIndentation,
     MissingObject,
     NoTreeBlock,
+    UnknownId,
     UnsupportedTask,
 )
 from scene_forest.model import (
@@ -21,16 +25,15 @@ from scene_forest.reorganize import (
     BackendConfig,
     check_goal,
     check_physical_constraints,
-    parse_goal_response,
     reorganize,
     rule_group_by_material,
     rule_stack_all,
     rule_stack_object,
     rule_unstack_all,
-    serialize_tree_prompt,
 )
+from scene_forest.remote import build_messages
 from scene_forest.treebuild import validate_tree
-from scene_forest.treetext import serialize_tree
+from scene_forest.treetext import parse_tree_block, serialize_tree
 
 from conftest import chain_tree, make_object, make_table, random_tree
 
@@ -210,13 +213,13 @@ class TestSerializerRoundTrip:
         task = TaskSpec(kind=TaskKind.STACK_ALL, raw_prompt="stack all")
         for _ in range(50):
             tree = random_tree(rng, rng.randint(0, 8))
-            prompt = serialize_tree_prompt(tree, task)
-            assert parse_goal_response(prompt, list(tree.nodes.values())) == tree
+            prompt = build_messages(tree, task)[1]["content"]
+            assert parse_tree_block(prompt, list(tree.nodes.values())) == tree
 
     def test_prompt_layout(self):
         tree = chain_tree("book_1")
         task = TaskSpec(kind=TaskKind.STACK_ALL, raw_prompt="stack all")
-        prompt = serialize_tree_prompt(tree, task)
+        prompt = build_messages(tree, task)[1]["content"]
         assert "TREE\n" in prompt
         assert "\nEND\n" in prompt
         assert prompt.rstrip().endswith("TASK: stack all")
@@ -229,30 +232,30 @@ class TestSerializerRoundTrip:
         tree = chain_tree("book_1", "cup_1")
         block = "TREE\ntable_1 [x]\n  book_1 [x]\nEND\n"
         with pytest.raises(MissingObject):
-            parse_goal_response(block, list(tree.nodes.values()))
+            parse_tree_block(block, list(tree.nodes.values()))
 
     def test_duplicate_object(self):
         tree = chain_tree("book_1")
         block = "TREE\ntable_1 [x]\n  book_1 [x]\n  book_1 [x]\nEND\n"
         with pytest.raises(DuplicateObject):
-            parse_goal_response(block, list(tree.nodes.values()))
+            parse_tree_block(block, list(tree.nodes.values()))
 
     def test_no_tree_block(self):
         tree = chain_tree("book_1")
         with pytest.raises(NoTreeBlock):
-            parse_goal_response("I would stack things nicely.", list(tree.nodes.values()))
+            parse_tree_block("I would stack things nicely.", list(tree.nodes.values()))
 
     def test_malformed_indentation(self):
         tree = chain_tree("book_1")
         block = "TREE\ntable_1 [x]\n    book_1 [x]\nEND\n"
         with pytest.raises(MalformedIndentation):
-            parse_goal_response(block, list(tree.nodes.values()))
+            parse_tree_block(block, list(tree.nodes.values()))
 
     def test_second_root_rejected(self):
         tree = chain_tree("book_1")
         block = "TREE\ntable_1 [x]\nbook_1 [x]\nEND\n"
         with pytest.raises(MalformedIndentation):
-            parse_goal_response(block, list(tree.nodes.values()))
+            parse_tree_block(block, list(tree.nodes.values()))
 
 
 class TestPhysicalConstraints:
@@ -320,3 +323,57 @@ def test_check_goal_detects_swapped_ids():
     other = chain_tree("cup_1")
     with pytest.raises(Exception):
         check_goal(tree, other)
+
+
+def test_check_goal_rejects_wrong_root():
+    tree = chain_tree("book_1", "cup_1")
+    block = "TREE\ncup_1\n  table_1\n  book_1\nEND\n"
+    goal = parse_tree_block(block, list(tree.nodes.values()))
+    with pytest.raises(InvalidGoal, match="root"):
+        check_goal(tree, goal)
+
+
+# Line edits applied to a serialized block: (op, line index, other index, depth).
+_LINE_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["drop", "dup", "swap", "depth", "odd", "rename"]),
+        st.integers(0, 16),
+        st.integers(0, 16),
+        st.integers(0, 4),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rnd=st.randoms(use_true_random=False), n=st.integers(0, 8), edits=_LINE_EDITS)
+def test_parsed_block_is_valid_or_rejected(rnd, n, edits):
+    # Why the gate need not re-validate a parsed reply: parse_tree_block
+    # either rejects the block or returns a valid tree over the registry.
+    tree = random_tree(rnd, n)
+    registry = list(tree.nodes.values())
+    lines = serialize_tree(tree).splitlines()[1:-1]
+    for op, i, j, d in edits:
+        if not lines:
+            break
+        i, j = i % len(lines), j % len(lines)
+        if op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(j, "  " * d + lines[i].lstrip(" "))
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "depth":
+            lines[i] = "  " * d + lines[i].lstrip(" ")
+        elif op == "odd":
+            lines[i] = " " + lines[i]
+        else:
+            lines[i] = lines[i].replace(lines[i].split()[0], "ghost_9", 1)
+    try:
+        parsed = parse_tree_block("\n".join(["TREE", *lines, "END"]), registry)
+    except (GoalParseError, UnknownId):
+        return
+    assert validate_tree(parsed) == []
+    assert parsed.ids() == {o.id for o in registry}
+    if not edits:
+        assert parsed == tree

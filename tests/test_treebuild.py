@@ -69,16 +69,6 @@ class TestBuildTree:
         assert report.success
         assert report.tree.parent["pen_1"] == "table_1"
 
-    def test_root_hint_overrides(self):
-        report = build_tree(
-            [on("cup_1", "tray_1")],
-            [make_object("tray_1"), make_object("cup_1"), make_object("pen_1")],
-            root_hint="tray_1",
-        )
-        assert report.success
-        assert report.tree.root == "tray_1"
-        assert report.tree.parent["pen_1"] == "tray_1"
-
     def test_surface_label_preferred_as_root(self):
         # Both table_1 and jar_1 are never subjects; table wins by label.
         report = build_tree(
