@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -23,13 +22,12 @@ from .errors import (
     DomainError,
     InvalidGoal,
     IoError,
-    SceneForestError,
     SchemaError,
     UnsupportedTask,
 )
-from .model import SceneRecord, SceneTree, TaskKind, TaskSpec
+from .model import SceneRecord
 from .planner import execute_plan, plan_moves
-from .reorganize import Backend, BackendConfig, reorganize
+from .reorganize import Backend, BackendConfig, parse_task, reorganize
 from .treebuild import build_tree, to_dot
 from .treetext import serialize_tree
 
@@ -41,25 +39,26 @@ EXIT_PARSE = 4
 EXIT_UNSUPPORTED_TASK = 5
 EXIT_BACKEND = 6
 
+# Exception class -> exit code; the first match wins, anything else is EXIT_FAIL.
+_EXIT_CODES = (
+    ((IoError, OSError), EXIT_IO),
+    ((SchemaError, DomainError), EXIT_SCHEMA),
+    (CaptionError, EXIT_PARSE),
+    (UnsupportedTask, EXIT_UNSUPPORTED_TASK),
+    ((BackendError, InvalidGoal), EXIT_BACKEND),
+)
+
 
 def _err(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def parse_task(prompt: str, registry) -> TaskSpec:
-    """Map the closed task phrasings to structured kinds, else free text."""
-    text = prompt.strip().lower().rstrip(".!")
-    if text in ("stack all", "stack everything"):
-        return TaskSpec(kind=TaskKind.STACK_ALL, raw_prompt=prompt)
-    if text in ("unstack", "unstack all", "unstack everything"):
-        return TaskSpec(kind=TaskKind.UNSTACK_ALL, raw_prompt=prompt)
-    if text == "group by material":
-        return TaskSpec(kind=TaskKind.GROUP_BY_MATERIAL, raw_prompt=prompt)
-    match = re.fullmatch(r"stack (the .+)", text)
-    if match:
-        target = caption_mod.resolve_reference(match.group(1), registry)
-        return TaskSpec(kind=TaskKind.STACK_OBJECT, raw_prompt=prompt, target=target)
-    return TaskSpec(kind=TaskKind.FREE_TEXT, raw_prompt=prompt)
+def _report(exc: Exception, scene: str | None = None) -> int:
+    """Print `[scene: ]<ErrorType>[ at span]: <message>` and return its exit code."""
+    span = getattr(exc, "span", None)
+    line = f"{type(exc).__name__}{f' at {span}' if span else ''}: {exc}"
+    _err(f"{scene}: {line}" if scene else line)
+    return next((code for types, code in _EXIT_CODES if isinstance(exc, types)), EXIT_FAIL)
 
 
 def _scene_triplets(record: SceneRecord):
@@ -74,21 +73,8 @@ def _scene_triplets(record: SceneRecord):
 
 
 def cmd_parse(args) -> int:
-    try:
-        record = dataset_mod.load_scene_record(args.scene)
-    except IoError as exc:
-        _err(str(exc))
-        return EXIT_IO
-    except (SchemaError, DomainError) as exc:
-        _err(str(exc))
-        return EXIT_SCHEMA
-    try:
-        triplets = _scene_triplets(record)
-    except CaptionError as exc:
-        span = f" at {exc.span}" if exc.span else ""
-        _err(f"parse error{span}: {exc}")
-        return EXIT_PARSE
-    for t in triplets:
+    record = dataset_mod.load_scene_record(args.scene)
+    for t in _scene_triplets(record):
         print(json.dumps(
             {"subject": t.subject, "predicate": t.predicate.value, "support": t.support}
         ))
@@ -110,57 +96,38 @@ def _backend_config(backend_name: str) -> BackendConfig:
 def run_pipeline_for_scene(
     scene_path: Path, task_text: str, backend_name: str, out_dir: Path
 ) -> int:
+    """Run one scene end to end and return its exit code.
+
+    Every failure, expected or not, becomes stderr lines prefixed with the
+    scene file's stem, so one bad scene never aborts a batch.
+    """
+    scene = Path(scene_path).stem
     timings: dict[str, float] = {}
+    lap = time.perf_counter()
 
     def timed(stage):
-        timings[stage] = (time.perf_counter() - start) * 1000.0
+        nonlocal lap
+        now = time.perf_counter()
+        timings[stage] = (now - lap) * 1000.0
+        lap = now
 
     try:
-        start = time.perf_counter()
         record = dataset_mod.load_scene_record(scene_path)
         timed("load")
-    except IoError as exc:
-        _err(str(exc))
-        return EXIT_IO
-    except (SchemaError, DomainError) as exc:
-        _err(str(exc))
-        return EXIT_SCHEMA
-
-    try:
-        start = time.perf_counter()
-        triplets = _scene_triplets(record)
-        report = build_tree(triplets, record.registry())
+        report = build_tree(_scene_triplets(record), record.registry())
         if not report.success:
             for v in report.violations:
-                _err(f"{v.kind.value}: {v.detail}")
+                _err(f"{scene}: {v.kind.value}: {v.detail}")
             return EXIT_PARSE
-        initial: SceneTree = report.tree
+        initial = report.tree
         task = parse_task(task_text, record.registry())
         timed("parse")
-    except CaptionError as exc:
-        _err(f"parse error: {exc}")
-        return EXIT_PARSE
-
-    try:
-        start = time.perf_counter()
-        config = _backend_config(backend_name)
-        goal = reorganize(initial, task, config)
+        goal = reorganize(initial, task, _backend_config(backend_name))
         timed("reorganize")
-    except UnsupportedTask as exc:
-        _err(str(exc))
-        return EXIT_UNSUPPORTED_TASK
-    except (BackendError, InvalidGoal) as exc:
-        _err(str(exc))
-        return EXIT_BACKEND
-
-    start = time.perf_counter()
-    trace = plan_moves(initial, goal)
-    verified = execute_plan(initial, trace.plan) == goal
-    timed("plan")
-
-    start = time.perf_counter()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+        trace = plan_moves(initial, goal)
+        verified = execute_plan(initial, trace.plan) == goal
+        timed("plan")
+        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "initial.tree.txt").write_text(serialize_tree(initial))
         (out_dir / "goal.tree.txt").write_text(serialize_tree(goal))
         (out_dir / "plan.txt").write_text(trace.plan.to_text())
@@ -178,11 +145,10 @@ def run_pipeline_for_scene(
             "diagnostics": [],
         }
         (out_dir / "result.json").write_text(json.dumps(result, indent=2) + "\n")
-    except OSError as exc:
-        _err(f"cannot write outputs: {exc}")
-        return EXIT_IO
+    except Exception as exc:
+        return _report(exc, scene)
     if not verified:
-        _err("plan execution did not reach the goal tree")
+        _err(f"{scene}: plan execution did not reach the goal tree")
         return EXIT_FAIL
     return EXIT_OK
 
@@ -211,14 +177,10 @@ def cmd_pipeline(args) -> int:
 def cmd_gen(args) -> int:
     out_dir = Path(args.out)
     config = dataset_mod.GeneratorConfig(seed=args.seed)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for index in range(args.count):
-            record = dataset_mod.generate_synthetic_scene(config, index)
-            dataset_mod.save_scene_record(record, out_dir / f"{record.scene_id}.json")
-    except (OSError, IoError) as exc:
-        _err(str(exc))
-        return EXIT_IO
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for index in range(args.count):
+        record = dataset_mod.generate_synthetic_scene(config, index)
+        dataset_mod.save_scene_record(record, out_dir / f"{record.scene_id}.json")
     return EXIT_OK
 
 
@@ -267,9 +229,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     try:
         return args.func(args)
-    except SceneForestError as exc:
-        _err(str(exc))
-        return EXIT_FAIL
+    except Exception as exc:
+        return _report(exc, Path(args.scene).stem if args.command == "parse" else None)
 
 
 def entry_point() -> None:

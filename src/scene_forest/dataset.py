@@ -80,6 +80,7 @@ def record_from_dict(data: dict) -> SceneRecord:
             _require(isinstance(entry, dict), "triplet entry must be a JSON object")
             for key in ("subject", "predicate", "support"):
                 _require(key in entry, f"triplet entry missing field {key!r}")
+                _require(isinstance(entry[key], str), f"triplet {key} must be a string")
             parsed.append(
                 SpatialTriplet(
                     subject=entry["subject"],
@@ -129,9 +130,11 @@ def load_scene_record(path: str | Path) -> SceneRecord:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8: {exc}") from exc
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
     return record_from_dict(data)
 
@@ -184,20 +187,21 @@ def render_caption(tree: SceneTree) -> str:
 
 # --- synthetic generation ----------------------------------------------------
 
+# Attribute weights over FRAGILITY_LEVELS and TRANSPARENCY_LEVELS, for every label.
+_FRAGILITY_WEIGHTS = (1.0, 1.0, 1.0)
+_TRANSPARENCY_WEIGHTS = (3.0, 1.0, 1.0)
+
+
 @dataclass(frozen=True)
 class AttributeSampler:
-    """Per-label sampling weights for the attribute fields."""
+    """Per-label material choices and mass range."""
 
-    fragility_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     material_choices: tuple[str, ...] = MATERIALS
-    transparency_weights: tuple[float, float, float] = (3.0, 1.0, 1.0)
     mass_range_grams: tuple[float, float] = (50.0, 2000.0)
 
     def sample(self, rng: random.Random) -> AttributeSet:
-        fragility = rng.choices(FRAGILITY_LEVELS, weights=self.fragility_weights)[0]
-        transparency = rng.choices(
-            TRANSPARENCY_LEVELS, weights=self.transparency_weights
-        )[0]
+        fragility = rng.choices(FRAGILITY_LEVELS, weights=_FRAGILITY_WEIGHTS)[0]
+        transparency = rng.choices(TRANSPARENCY_LEVELS, weights=_TRANSPARENCY_WEIGHTS)[0]
         material = rng.choice(self.material_choices)
         lo, hi = self.mass_range_grams
         mass = round(rng.uniform(lo, hi), 1)
@@ -209,11 +213,30 @@ class AttributeSampler:
         )
 
 
+_LABEL_VOCABULARY = (
+    ("book", AttributeSampler(material_choices=("paper",),
+                              mass_range_grams=(200.0, 900.0))),
+    ("plate", AttributeSampler(material_choices=("ceramic", "glass", "plastic"),
+                               mass_range_grams=(300.0, 800.0))),
+    ("cup", AttributeSampler(material_choices=("ceramic", "glass", "plastic"),
+                             mass_range_grams=(100.0, 400.0))),
+    ("bowl", AttributeSampler(material_choices=("ceramic", "wood", "metal"),
+                              mass_range_grams=(200.0, 700.0))),
+    ("box", AttributeSampler(material_choices=("wood", "plastic", "paper"),
+                             mass_range_grams=(150.0, 2500.0))),
+    ("bottle", AttributeSampler(material_choices=("glass", "plastic"),
+                                mass_range_grams=(100.0, 1200.0))),
+    ("pen", AttributeSampler(material_choices=("plastic", "metal"),
+                             mass_range_grams=(5.0, 40.0))),
+    ("laptop", AttributeSampler(material_choices=("metal", "plastic"),
+                                mass_range_grams=(900.0, 2500.0))),
+)
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     seed: int = 0
     object_count_range: tuple[int, int] = (2, 6)
-    label_vocabulary: tuple[tuple[str, AttributeSampler], ...] = ()
     max_stack_height: int = 4
 
     def __post_init__(self):
@@ -222,31 +245,6 @@ class GeneratorConfig:
             raise ValueError("object_count_range must satisfy 1 <= min <= max")
         if self.max_stack_height < 1:
             raise ValueError("max_stack_height must be positive")
-        if not self.label_vocabulary:
-            object.__setattr__(
-                self, "label_vocabulary", default_label_vocabulary()
-            )
-
-
-def default_label_vocabulary() -> tuple[tuple[str, AttributeSampler], ...]:
-    return (
-        ("book", AttributeSampler(material_choices=("paper",),
-                                  mass_range_grams=(200.0, 900.0))),
-        ("plate", AttributeSampler(material_choices=("ceramic", "glass", "plastic"),
-                                   mass_range_grams=(300.0, 800.0))),
-        ("cup", AttributeSampler(material_choices=("ceramic", "glass", "plastic"),
-                                 mass_range_grams=(100.0, 400.0))),
-        ("bowl", AttributeSampler(material_choices=("ceramic", "wood", "metal"),
-                                  mass_range_grams=(200.0, 700.0))),
-        ("box", AttributeSampler(material_choices=("wood", "plastic", "paper"),
-                                 mass_range_grams=(150.0, 2500.0))),
-        ("bottle", AttributeSampler(material_choices=("glass", "plastic"),
-                                    mass_range_grams=(100.0, 1200.0))),
-        ("pen", AttributeSampler(material_choices=("plastic", "metal"),
-                                 mass_range_grams=(5.0, 40.0))),
-        ("laptop", AttributeSampler(material_choices=("metal", "plastic"),
-                                    mass_range_grams=(900.0, 2500.0))),
-    )
 
 
 _ROOT_ATTRIBUTES = AttributeSet(
@@ -264,9 +262,7 @@ def generate_synthetic_scene(config: GeneratorConfig, index: int) -> SceneRecord
     ordinals: dict[str, int] = {}
     objects = [root]
     for _ in range(count):
-        label, sampler = config.label_vocabulary[
-            rng.randrange(len(config.label_vocabulary))
-        ]
+        label, sampler = _LABEL_VOCABULARY[rng.randrange(len(_LABEL_VOCABULARY))]
         ordinals[label] = ordinals.get(label, 0) + 1
         objects.append(
             ObjectInstance(

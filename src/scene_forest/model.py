@@ -5,8 +5,8 @@ concurrent workers.
 """
 from __future__ import annotations
 
-import math
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -56,7 +56,8 @@ class AttributeSet:
                 f"transparency {self.transparency!r} not in {TRANSPARENCY_LEVELS}"
             )
         mass = self.mass_grams
-        if not isinstance(mass, (int, float)) or not math.isfinite(mass) or mass <= 0:
+        # Exact comparison: rejects NaN, infinities and ints too large for a float.
+        if not isinstance(mass, (int, float)) or not 0 < mass <= sys.float_info.max:
             raise DomainError(f"mass_grams must be positive and finite, got {mass!r}")
 
 

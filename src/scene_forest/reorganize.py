@@ -8,9 +8,11 @@ check triggers a re-prompt, never a silent repair.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
+from .captions import resolve_reference
 from .errors import InvalidGoal, UnknownId, UnsupportedTask
 from .model import (
     ObjectInstance,
@@ -58,6 +60,26 @@ class PhysicalConstraintReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+def parse_task(prompt: str, registry: list[ObjectInstance]) -> TaskSpec:
+    """Map the closed task phrasings to structured kinds, else free text.
+
+    `stack the <reference>` resolves the reference against the registry and
+    raises the caption parser's errors when it names no single object.
+    """
+    text = prompt.strip().lower().rstrip(".!")
+    if text in ("stack all", "stack everything"):
+        return TaskSpec(kind=TaskKind.STACK_ALL, raw_prompt=prompt)
+    if text in ("unstack", "unstack all", "unstack everything"):
+        return TaskSpec(kind=TaskKind.UNSTACK_ALL, raw_prompt=prompt)
+    if text == "group by material":
+        return TaskSpec(kind=TaskKind.GROUP_BY_MATERIAL, raw_prompt=prompt)
+    match = re.fullmatch(r"stack (the .+)", text)
+    if match:
+        target = resolve_reference(match.group(1), registry)
+        return TaskSpec(kind=TaskKind.STACK_OBJECT, raw_prompt=prompt, target=target)
+    return TaskSpec(kind=TaskKind.FREE_TEXT, raw_prompt=prompt)
 
 
 def _stack_key(obj: ObjectInstance):

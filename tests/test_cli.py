@@ -9,11 +9,11 @@ from scene_forest.cli import (
     EXIT_SCHEMA,
     EXIT_UNSUPPORTED_TASK,
     main,
-    parse_task,
 )
 from scene_forest.dataset import GeneratorConfig, generate_synthetic_scene, save_scene_record
 from scene_forest.errors import AmbiguousReference
 from scene_forest.model import TaskKind
+from scene_forest.reorganize import parse_task
 
 from conftest import make_object, make_table
 
@@ -134,6 +134,38 @@ class TestCmdPipeline:
             "--out", str(out),
         ]) == EXIT_OK
         assert len(list(out.glob("*/result.json"))) == 5
+
+    def test_batch_runs_past_malformed_record(self, tmp_path, capsys):
+        data = tmp_path / "ds"
+        assert main(["gen", "--seed", "1", "--count", "5",
+                     "--out", str(data)]) == EXIT_OK
+        bad = data / "scene_0002.json"
+        record = json.loads(bad.read_text())
+        record["objects"][1]["mass_grams"] = 10**400
+        bad.write_text(json.dumps(record))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([
+            "pipeline", "--batch", str(data), "--task", "stack all",
+            "--out", str(out),
+        ]) == EXIT_SCHEMA
+        assert sorted(p.parent.name for p in out.glob("*/result.json")) == [
+            "scene_0000", "scene_0001", "scene_0003", "scene_0004"
+        ]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("scene_0002: DomainError: mass_grams")
+        assert lines[1] == "processed 5 scenes, 1 failed"
+
+    def test_out_is_existing_file(self, scene_file, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main([
+            "pipeline", str(scene_file), "--task", "stack all", "--out", str(out)
+        ]) == EXIT_IO
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("scene_0000: FileExistsError: ")
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_batch_rejects_nonpositive_jobs(self, tmp_path, capsys, jobs):

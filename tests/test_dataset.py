@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scene_forest.captions import parse_caption
 from scene_forest.dataset import (
@@ -13,7 +14,7 @@ from scene_forest.dataset import (
     save_scene_record,
 )
 from scene_forest.errors import DomainError, IoError, SchemaError
-from scene_forest.model import SpatialPredicate
+from scene_forest.model import SceneRecord, SpatialPredicate
 from scene_forest.treebuild import build_tree, validate_tree
 
 from conftest import chain_tree, random_tree
@@ -42,9 +43,10 @@ class TestLoadRecord:
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "s.json"
-        path.write_text("{not json")
-        with pytest.raises(SchemaError):
-            load_scene_record(path)
+        for raw in (b"{not json", b"\xff\xfe{}", b"[" * 100_000, b"1" * 5000):
+            path.write_bytes(raw)
+            with pytest.raises(SchemaError):
+                load_scene_record(path)
 
     def test_duplicate_ids(self, tmp_path):
         data = json.loads(json.dumps(MINIMAL))
@@ -56,11 +58,12 @@ class TestLoadRecord:
 
     def test_negative_mass(self, tmp_path):
         data = json.loads(json.dumps(MINIMAL))
-        data["objects"][0]["mass_grams"] = -3
         path = tmp_path / "s.json"
-        path.write_text(json.dumps(data))
-        with pytest.raises(DomainError):
-            load_scene_record(path)
+        for mass in (-3, 10**400):
+            data["objects"][0]["mass_grams"] = mass
+            path.write_text(json.dumps(data))
+            with pytest.raises(DomainError):
+                load_scene_record(path)
 
     def test_bad_material(self, tmp_path):
         data = json.loads(json.dumps(MINIMAL))
@@ -78,11 +81,70 @@ class TestLoadRecord:
 
     def test_triplet_unknown_reference(self):
         data = json.loads(json.dumps(MINIMAL))
-        data["triplets"] = [
-            {"subject": "ghost_1", "predicate": "on", "support": "table_1"}
-        ]
-        with pytest.raises(SchemaError):
-            record_from_dict(data)
+        for triplet in (
+            {"subject": "ghost_1", "predicate": "on", "support": "table_1"},
+            {"subject": ["table_1"], "predicate": "on", "support": "table_1"},
+            {"subject": "table_1", "predicate": "on", "support": 1},
+            {"subject": "table_1", "predicate": ["on"], "support": "table_1"},
+        ):
+            data["triplets"] = [triplet]
+            with pytest.raises(SchemaError):
+                record_from_dict(data)
+
+
+# Edge values sit beside arbitrary JSON so that each is drawn often; the
+# first three are the ints nearest to and far past a float's range.
+_EDGE_VALUES = st.sampled_from([
+    2**1024, -(2**1024), 10**400, -1, 0, float("nan"), float("inf"), True, None,
+    "", "table_1", [], {},
+])
+_JSON_VALUES = _EDGE_VALUES | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["book_1", "on", "on_top_of", "low", "wood", "opaque"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "subject", "mass_grams", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_record_loads_or_raises_schema_errors(data):
+    # Arbitrary JSON values replace or delete parts of a valid record. The
+    # site is drawn per field name (list items form one group and the whole
+    # record another), so every field is hit however many objects there are.
+    index = data.draw(st.integers(0, 20))
+    record = record_to_dict(generate_synthetic_scene(GeneratorConfig(seed=0), index))
+    for _ in range(data.draw(st.integers(1, 3))):
+        sites: dict = {}
+        for path in _paths(record):
+            field = path[-1] if path and isinstance(path[-1], str) else bool(path)
+            sites.setdefault(field, []).append(path)
+        field = data.draw(st.sampled_from(sorted(sites, key=repr)))
+        path = data.draw(st.sampled_from(sites[field]))
+        if not path:
+            record = data.draw(_JSON_VALUES)
+            continue
+        container = record
+        for key in path[:-1]:
+            container = container[key]
+        if data.draw(st.booleans()):
+            del container[path[-1]]
+        else:
+            container[path[-1]] = data.draw(_JSON_VALUES)
+    try:
+        assert isinstance(record_from_dict(record), SceneRecord)
+    except (SchemaError, DomainError):
+        pass
 
 
 def test_save_load_round_trip(tmp_path, rng):
