@@ -88,10 +88,6 @@ class PickNotClear(SceneForestError):
     pass
 
 
-class CycleCreated(SceneForestError):
-    pass
-
-
 class SelfMove(SceneForestError):
     pass
 

@@ -9,6 +9,7 @@ import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import DomainError, InvalidLabel
 
@@ -39,6 +40,12 @@ def canonicalize_id(label: str, ordinal: int) -> str:
     return candidate
 
 
+def _short_repr(value, limit: int = 40) -> str:
+    """repr of `value`, cut to `limit` characters plus an ellipsis."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit] + "…"
+
+
 @dataclass(frozen=True)
 class AttributeSet:
     fragility: str
@@ -48,17 +55,19 @@ class AttributeSet:
 
     def __post_init__(self):
         if self.fragility not in FRAGILITY_LEVELS:
-            raise DomainError(f"fragility {self.fragility!r} not in {FRAGILITY_LEVELS}")
+            raise DomainError(
+                f"fragility {_short_repr(self.fragility)} not in {FRAGILITY_LEVELS}"
+            )
         if self.material not in MATERIALS:
-            raise DomainError(f"material {self.material!r} not in {MATERIALS}")
+            raise DomainError(f"material {_short_repr(self.material)} not in {MATERIALS}")
         if self.transparency not in TRANSPARENCY_LEVELS:
             raise DomainError(
-                f"transparency {self.transparency!r} not in {TRANSPARENCY_LEVELS}"
+                f"transparency {_short_repr(self.transparency)} not in {TRANSPARENCY_LEVELS}"
             )
         mass = self.mass_grams
         # Exact comparison: rejects NaN, infinities and ints too large for a float.
         if not isinstance(mass, (int, float)) or not 0 < mass <= sys.float_info.max:
-            raise DomainError(f"mass_grams must be positive and finite, got {mass!r}")
+            raise DomainError(f"mass_grams must be positive and finite, got {_short_repr(mass)}")
 
 
 @dataclass(frozen=True)
@@ -102,15 +111,26 @@ class SceneTree:
     """Validated support hierarchy: root surface plus a single-parent map.
 
     `parent` maps every non-root id to the id it rests on. Children are
-    derived, ordered lexicographically for deterministic traversal.
+    derived, ordered lexicographically for deterministic traversal, and
+    indexed once on first use: a tree's maps must not be mutated after
+    that. The index is not a field, so equality and repr ignore it.
     """
 
     root: str
     nodes: dict[str, ObjectInstance]
     parent: dict[str, str]
 
+    @cached_property
+    def _children(self) -> dict[str, list[str]]:
+        index: dict[str, list[str]] = {}
+        for child, support in self.parent.items():
+            index.setdefault(support, []).append(child)
+        for kids in index.values():
+            kids.sort()
+        return index
+
     def children_of(self, node_id: str) -> list[str]:
-        return sorted(c for c, p in self.parent.items() if p == node_id)
+        return list(self._children.get(node_id, ()))
 
     def ids(self) -> set[str]:
         return set(self.nodes)
@@ -118,10 +138,11 @@ class SceneTree:
     def preorder(self) -> list[str]:
         out: list[str] = []
         stack = [self.root]
+        children = self._children
         while stack:
             node = stack.pop()
             out.append(node)
-            stack.extend(reversed(self.children_of(node)))
+            stack.extend(reversed(children.get(node, ())))
         return out
 
     def with_parent(self, node_id: str, new_parent: str) -> "SceneTree":

@@ -5,14 +5,25 @@ unlimited capacity and doubles as the staging area. The greedy planner
 places objects bottom-up once their goal support chain is settled, staging
 blockers on the root; it is sound and bounded by 2n moves but not optimal.
 A breadth-first oracle provides optimal plans for small instances.
+
+`plan_moves` and `execute_plan` work on a private mutable state (parent
+map, child counts, and for the planner a settled set and depths) and
+touch immutable `SceneTree`s only at their boundaries. Only unsettled
+clear objects move, so settled objects never move again and a move
+changes the depth of the moved object alone. Placing an object settles
+exactly that object and can make only its goal-children placeable;
+picking an object can clear only its old support. Two lazy-deletion heaps
+hold the candidates: placeable objects keyed by id, stageable ones by
+(-depth, id), the tie-breaking of a full re-scan. A plan therefore costs
+O(n log n) and its replay O(n + moves).
 """
 from __future__ import annotations
 
-from collections import deque
+import heapq
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .errors import (
-    CycleCreated,
     IdMismatch,
     PickNotClear,
     RootMismatch,
@@ -21,7 +32,6 @@ from .errors import (
     UnknownId,
 )
 from .model import MoveAction, Plan, SceneTree
-from .treebuild import depth
 
 
 @dataclass(frozen=True)
@@ -48,8 +58,13 @@ def diff_trees(initial: SceneTree, goal: SceneTree) -> set[str]:
     }
 
 
-def apply_move(tree: SceneTree, move: MoveAction) -> SceneTree:
-    """Reparent a clear object; no-op moves are legal."""
+def _check_move(
+    tree: SceneTree, parent: dict[str, str], child_count: dict[str, int],
+    move: MoveAction,
+) -> None:
+    """The pick/place rules for `move` on the arrangement `parent` of `tree`'s
+    objects. A clear object has nothing above it, so no legal move can
+    create a cycle."""
     if move.object not in tree.nodes:
         raise UnknownId(f"unknown object {move.object!r}")
     if move.destination not in tree.nodes:
@@ -58,74 +73,95 @@ def apply_move(tree: SceneTree, move: MoveAction) -> SceneTree:
         raise SelfMove(f"{move.object} onto itself")
     if move.object == tree.root:
         raise PickNotClear(f"root {move.object} cannot be picked")
-    if tree.children_of(move.object):
-        raise PickNotClear(
-            f"{move.object} carries {', '.join(tree.children_of(move.object))}"
-        )
-    # A clear object's subtree is itself, but guard against general misuse.
-    cur = move.destination
-    while cur != tree.root:
-        if cur == move.object:
-            raise CycleCreated(f"{move.destination} is above {move.object}")
-        cur = tree.parent[cur]
+    if child_count[move.object]:
+        carried = sorted(c for c, p in parent.items() if p == move.object)
+        raise PickNotClear(f"{move.object} carries {', '.join(carried)}")
+
+
+def apply_move(tree: SceneTree, move: MoveAction) -> SceneTree:
+    """Reparent a clear object; no-op moves are legal."""
+    _check_move(tree, tree.parent, Counter(tree.parent.values()), move)
     return tree.with_parent(move.object, move.destination)
 
 
 def execute_plan(tree: SceneTree, plan: Plan) -> SceneTree:
     """Apply the moves in order, enforcing pick/place legality throughout."""
-    state = tree
+    parent = dict(tree.parent)
+    child_count = Counter(parent.values())
     for move in plan.moves:
-        state = apply_move(state, move)
-    return state
-
-
-def _settled(state: SceneTree, goal: SceneTree) -> set[str]:
-    """Objects whose entire support chain already matches the goal."""
-    settled = {state.root}
-    for node in state.preorder():
-        if node == state.root:
-            continue
-        p = state.parent[node]
-        if p in settled and goal.parent[node] == p:
-            settled.add(node)
-    return settled
+        _check_move(tree, parent, child_count, move)
+        child_count[parent[move.object]] -= 1
+        child_count[move.destination] += 1
+        parent[move.object] = move.destination
+    return SceneTree(root=tree.root, nodes=tree.nodes, parent=parent)
 
 
 def plan_moves(initial: SceneTree, goal: SceneTree) -> PlanTrace:
     """Greedy sound plan: place onto settled supports, else stage on root.
 
-    Each object is staged at most once and placed at most once, so the
-    plan never exceeds 2n moves.
+    Each step places the least-id clear unsettled object whose goal support
+    is settled; if there is none it stages the deepest clear unsettled
+    object not on the root (ties by id). Each object is staged at most once
+    and placed at most once, so the plan never exceeds 2n moves.
     """
     _check_pair(initial, goal)
-    state = initial
+    root = initial.root
+    parent = dict(initial.parent)
+    child_count = Counter(parent.values())
+    depth = {root: 0}
+    settled = {root}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for child in initial.children_of(node):
+            depth[child] = depth[node] + 1
+            if node in settled and goal.parent[child] == node:
+                settled.add(child)
+            stack.append(child)
+
+    placeable: list[str] = []
+    stageable: list[tuple[int, str]] = []
+
+    def offer(n: str) -> None:
+        """Queue an unsettled clear object wherever it now qualifies."""
+        if goal.parent[n] in settled:
+            heapq.heappush(placeable, n)
+        elif parent[n] != root:
+            heapq.heappush(stageable, (-depth[n], n))
+
+    for n in initial.nodes:
+        if n not in settled and not child_count[n]:
+            offer(n)
+
     moves: list[MoveAction] = []
     staged = 0
-    while True:
-        settled = _settled(state, goal)
-        unsettled = sorted(set(state.nodes) - settled)
-        if not unsettled:
-            break
-        clear = {
-            n for n in unsettled
-            if not state.children_of(n)
-        }
-        placeable = sorted(
-            n for n in clear
-            if goal.parent[n] in settled and state.parent[n] != goal.parent[n]
-        )
+    while len(settled) < len(initial.nodes):
+        # An entry goes stale only when its object moves: placed objects
+        # settle and staged ones sit on the root.
+        while placeable and placeable[0] in settled:
+            heapq.heappop(placeable)
         if placeable:
-            obj = placeable[0]
-            move = MoveAction(object=obj, destination=goal.parent[obj])
+            obj = heapq.heappop(placeable)
+            dest = goal.parent[obj]
         else:
-            stageable = [n for n in clear if state.parent[n] != state.root]
-            # Deepest first so towers unblock from the top down.
-            stageable.sort(key=lambda n: (-depth(state, n), n))
-            obj = stageable[0]
-            move = MoveAction(object=obj, destination=state.root)
+            while stageable[0][1] in settled or parent[stageable[0][1]] == root:
+                heapq.heappop(stageable)
+            obj = heapq.heappop(stageable)[1]
+            dest = root
             staged += 1
-        state = apply_move(state, move)
-        moves.append(move)
+        moves.append(MoveAction(object=obj, destination=dest))
+        old = parent[obj]
+        parent[obj] = dest
+        depth[obj] = depth[dest] + 1
+        child_count[dest] += 1
+        child_count[old] -= 1
+        if dest == goal.parent[obj]:
+            settled.add(obj)
+            for child in goal.children_of(obj):
+                if not child_count[child]:
+                    offer(child)
+        if not child_count[old] and old not in settled:
+            offer(old)
     return PlanTrace(plan=Plan(moves=tuple(moves)), staged_moves=staged)
 
 
@@ -138,7 +174,7 @@ def optimal_plan_bfs(
 ) -> Plan:
     """Shortest plan via breadth-first search over reachable arrangements.
 
-    Intended as a test oracle for small scenes (≤ 8 movable objects).
+    Intended as a test oracle for small scenes (≤ 6 movable objects).
     Ties are broken by lexicographic (object, destination) move ordering.
     """
     _check_pair(initial, goal)

@@ -140,7 +140,9 @@ def rule_stack_object(tree: SceneTree, target: str) -> SceneTree:
     base = target
     while tree.parent[base] != tree.root:
         base = tree.parent[base]
-    members = [n for n in tree.preorder() if n == base or _is_descendant(tree, n, base)]
+    members = [base]
+    for n in members:
+        members.extend(tree.children_of(n))
     others = sorted(
         (tree.nodes[n] for n in members if n != target), key=_stack_key
     )
@@ -152,15 +154,6 @@ def rule_stack_object(tree: SceneTree, target: str) -> SceneTree:
     return SceneTree(root=tree.root, nodes=tree.nodes, parent=parent)
 
 
-def _is_descendant(tree: SceneTree, node: str, ancestor: str) -> bool:
-    cur = node
-    while cur != tree.root:
-        cur = tree.parent[cur]
-        if cur == ancestor:
-            return True
-    return False
-
-
 def check_physical_constraints(tree: SceneTree) -> PhysicalConstraintReport:
     """Advisory scan of every support path for risky pairings.
 
@@ -169,14 +162,14 @@ def check_physical_constraints(tree: SceneTree) -> PhysicalConstraintReport:
     fragility justification (the upper object is not strictly more fragile).
     """
     violations: list[ConstraintViolation] = []
-    for below in sorted(tree.nodes):
-        if below == tree.root:
-            continue
-        below_attrs = tree.nodes[below].attributes
-        for above in sorted(tree.nodes):
-            if above == below or not _is_descendant(tree, above, below):
-                continue
-            above_attrs = tree.nodes[above].attributes
+    path: list[str] = []  # supports between the root and the current node
+    stack = [(child, 0) for child in tree.children_of(tree.root)]
+    while stack:
+        above, level = stack.pop()
+        del path[level:]
+        above_attrs = tree.nodes[above].attributes
+        for below in path:
+            below_attrs = tree.nodes[below].attributes
             if fragility_rank(below_attrs.fragility) > fragility_rank(above_attrs.fragility):
                 violations.append(
                     ConstraintViolation("FragileBelowHeavier", above=above, below=below)
@@ -187,6 +180,10 @@ def check_physical_constraints(tree: SceneTree) -> PhysicalConstraintReport:
                 violations.append(
                     ConstraintViolation("MassInversion", above=above, below=below)
                 )
+        path.append(above)
+        stack.extend((child, level + 1) for child in tree.children_of(above))
+    # Stable: a pair's FragileBelowHeavier stays ahead of its MassInversion.
+    violations.sort(key=lambda v: (v.below, v.above))
     return PhysicalConstraintReport(violations=tuple(violations))
 
 

@@ -197,7 +197,7 @@ def validate_tree(tree: SceneTree) -> list[Violation]:
     # that never reaches the root is a connectivity breach.
     cycle_nodes: set[str] = set()
     for node in sorted(tree.nodes):
-        seen: list[str] = []
+        seen: dict[str, None] = {}  # the chain so far, in walk order
         cur = node
         while cur in tree.parent:
             if cur in seen:
@@ -206,11 +206,11 @@ def validate_tree(tree: SceneTree) -> list[Violation]:
                     violations.append(
                         Violation(
                             ViolationKind.CYCLE,
-                            "support cycle: " + " -> ".join(seen + [cur]),
+                            "support cycle: " + " -> ".join([*seen, cur]),
                         )
                     )
                 break
-            seen.append(cur)
+            seen[cur] = None
             cur = tree.parent[cur]
         else:
             if cur != tree.root:

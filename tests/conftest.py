@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from scene_forest.model import (
     AttributeSet,
@@ -93,3 +94,40 @@ def random_parent_map(rng: random.Random, tree: SceneTree) -> SceneTree:
 @pytest.fixture
 def rng():
     return random.Random(20240824)
+
+
+@st.composite
+def arrangements(draw, tree: SceneTree) -> SceneTree:
+    """Another arrangement of `tree`'s objects: towers of one drawn height
+    (1 to 8) over a drawn order, or a random forest."""
+    order = draw(st.permutations(sorted(n for n in tree.nodes if n != tree.root)))
+    parent = {}
+    if draw(st.booleans()):
+        height = draw(st.integers(1, 8))
+        for i, obj_id in enumerate(order):
+            parent[obj_id] = tree.root if i % height == 0 else order[i - 1]
+    else:
+        placed = [tree.root]
+        for obj_id in order:
+            parent[obj_id] = placed[draw(st.integers(0, len(placed) - 1))]
+            placed.append(obj_id)
+    return SceneTree(root=tree.root, nodes=tree.nodes, parent=parent)
+
+
+@st.composite
+def scene_trees(draw, max_objects: int = 30) -> SceneTree:
+    """A tree of up to `max_objects` objects on `table_1`, with ids whose
+    string and numeric orders differ and attributes drawn from few values,
+    so that ties occur."""
+    n = draw(st.integers(0, max_objects))
+    objects = [make_table()] + [
+        make_object(
+            f"box_{i + 1}",
+            fragility=draw(st.sampled_from(FRAGILITY_LEVELS)),
+            mass=draw(st.sampled_from([50, 100, 100.5, 2000])),
+            material=draw(st.sampled_from(MATERIALS[:3])),
+        )
+        for i in range(n)
+    ]
+    nodes = {o.id: o for o in objects}
+    return draw(arrangements(SceneTree(root="table_1", nodes=nodes, parent={})))

@@ -62,8 +62,9 @@ class TestLoadRecord:
         for mass in (-3, 10**400):
             data["objects"][0]["mass_grams"] = mass
             path.write_text(json.dumps(data))
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match="mass_grams must be positive and finite") as info:
                 load_scene_record(path)
+            assert len(str(info.value)) < 120
 
     def test_bad_material(self, tmp_path):
         data = json.loads(json.dumps(MINIMAL))

@@ -19,6 +19,7 @@ from scene_forest.model import (
     SceneTree,
     TaskKind,
     TaskSpec,
+    fragility_rank,
 )
 from scene_forest.reorganize import (
     Backend,
@@ -35,7 +36,7 @@ from scene_forest.remote import build_messages
 from scene_forest.treebuild import validate_tree
 from scene_forest.treetext import parse_tree_block, serialize_tree
 
-from conftest import chain_tree, make_object, make_table, random_tree
+from conftest import chain_tree, make_object, make_table, random_tree, scene_trees
 
 RULE = BackendConfig(backend=Backend.RULE)
 
@@ -316,6 +317,43 @@ class TestPhysicalConstraints:
             stacked = rule_stack_all(tree)
             report = check_physical_constraints(stacked)
             assert report.ok, report.violations
+
+
+def _reference_is_descendant(tree, node, ancestor):
+    cur = node
+    while cur != tree.root:
+        cur = tree.parent[cur]
+        if cur == ancestor:
+            return True
+    return False
+
+
+def reference_physical_violations(tree):
+    """The all-pairs scan: (kind, below, above) in below, above order."""
+    found = []
+    for below in sorted(tree.nodes):
+        if below == tree.root:
+            continue
+        below_attrs = tree.nodes[below].attributes
+        for above in sorted(tree.nodes):
+            if above == below or not _reference_is_descendant(tree, above, below):
+                continue
+            above_attrs = tree.nodes[above].attributes
+            if fragility_rank(below_attrs.fragility) > fragility_rank(above_attrs.fragility):
+                found.append(("FragileBelowHeavier", below, above))
+            if above_attrs.mass_grams > below_attrs.mass_grams and fragility_rank(
+                above_attrs.fragility
+            ) <= fragility_rank(below_attrs.fragility):
+                found.append(("MassInversion", below, above))
+    return found
+
+
+@settings(max_examples=300, deadline=None)
+@given(scene_trees())
+def test_physical_violations_match_all_pairs_scan(tree):
+    report = check_physical_constraints(tree)
+    got = [(v.kind, v.below, v.above) for v in report.violations]
+    assert got == reference_physical_violations(tree)
 
 
 def test_check_goal_detects_swapped_ids():
