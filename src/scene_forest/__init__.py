@@ -13,8 +13,8 @@ from .model import (
     TaskSpec,
     canonicalize_id,
 )
-from .captions import parse_caption, resolve_reference, grammar_productions
-from .treebuild import build_tree, validate_tree, detect_cycle, depth, clear_objects, to_dot
+from .captions import parse_caption, resolve_reference
+from .treebuild import build_tree, validate_tree, depth, clear_objects, to_dot
 from .reorganize import (
     Backend,
     BackendConfig,
@@ -53,11 +53,9 @@ __all__ = [
     "check_physical_constraints",
     "clear_objects",
     "depth",
-    "detect_cycle",
     "diff_trees",
     "execute_plan",
     "generate_synthetic_scene",
-    "grammar_productions",
     "load_scene_record",
     "optimal_plan_bfs",
     "parse_caption",

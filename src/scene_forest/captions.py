@@ -5,6 +5,10 @@ clauses join with "and" / ";" / ".", and plural subjects ("X and Y are on Z")
 are distributed. Matching is case-insensitive; determiners and adjectives
 before a known label are ignored (the head noun is the last token of each
 noun phrase).
+
+A parse indexes the registry once (each id's label, and each label's sorted
+ids) and resolves every noun phrase against that index without rescanning
+the registry, so parsing a caption costs O(caption length + registry size).
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ _VERB_RE = re.compile(r"\b(is|are)\b", re.IGNORECASE)
 _PRED_RE = re.compile(r"\s*on(\s+top\s+of)?\b", re.IGNORECASE)
 _AND_RE = re.compile(r"\band\b", re.IGNORECASE)
 _SENTENCE_RE = re.compile(r"[^.;]+")
+_SPLIT_RE = re.compile(r"[\s,]+")
 
 _DETERMINERS = {"the", "a", "an"}
 _ORDINAL_WORDS = {
@@ -33,15 +38,55 @@ class ParseDiagnostic:
     message: str
 
 
-def grammar_productions() -> list[str]:
-    """The closed set of sentence patterns the parser accepts."""
-    return [
-        "<NP> is on <NP>",
-        "<NP> is on top of <NP>",
-        "<NP> and <NP> are on <NP>",
-        "<NP> and <NP> are on top of <NP>",
-        'sentence conjunction with "and", ";" or "."',
-    ]
+class _LabelIndex:
+    """Each id's lowercased label and each lowercased label's sorted ids, built
+    in one pass so that references resolve without rescanning the registry.
+    Registry ids are unique (SceneRecord rejects duplicates)."""
+
+    def __init__(self, registry: list[ObjectInstance]):
+        self.label_of: dict[str, str] = {}
+        self.by_label: dict[str, list[str]] = {}
+        for o in registry:
+            label = self.label_of[o.id] = o.label.lower()
+            if label in self.by_label:
+                self.by_label[label].append(o.id)
+            else:
+                self.by_label[label] = [o.id]
+        for candidates in self.by_label.values():
+            candidates.sort()
+
+    def resolve(self, phrase: str) -> str:
+        tokens = [t.strip(".,;:!?\"'") for t in _SPLIT_RE.split(phrase.strip().lower())]
+        tokens = [t for t in tokens if t]
+        while tokens and tokens[0] in _DETERMINERS:
+            tokens.pop(0)
+        ordinal = None
+        if tokens and tokens[0] in _ORDINAL_WORDS:
+            ordinal = _ORDINAL_WORDS[tokens.pop(0)]
+        if not tokens:
+            raise UnknownObject(f"empty reference in {phrase!r}")
+        head = tokens[-1]
+
+        if head in self.label_of:
+            return head
+        candidates = self.by_label.get(head)
+        if not candidates:
+            raise UnknownObject(f"no object matches {head!r}")
+        if ordinal is not None:
+            try:
+                canonical = canonicalize_id(head, ordinal)
+            except Exception:
+                canonical = None
+            if self.label_of.get(canonical) == head:
+                return canonical
+            if ordinal <= len(candidates):
+                return candidates[ordinal - 1]
+            raise UnknownObject(f"no {ordinal}-th object labeled {head!r}")
+        if len(candidates) > 1:
+            raise AmbiguousReference(
+                f"{head!r} matches {len(candidates)} objects: {', '.join(candidates)}"
+            )
+        return candidates[0]
 
 
 def resolve_reference(phrase: str, registry: list[ObjectInstance]) -> str:
@@ -50,40 +95,9 @@ def resolve_reference(phrase: str, registry: list[ObjectInstance]) -> str:
     The head noun is the last token after stripping determiners and
     punctuation. An exact id match wins; otherwise the label must match a
     single object, or carry an ordinal disambiguator ("the second cup").
+    Indexes the registry on each call: O(n).
     """
-    tokens = [t for t in re.split(r"[\s,]+", phrase.strip().lower()) if t]
-    tokens = [t.strip(".,;:!?\"'") for t in tokens]
-    tokens = [t for t in tokens if t]
-    while tokens and tokens[0] in _DETERMINERS:
-        tokens.pop(0)
-    ordinal = None
-    if tokens and tokens[0] in _ORDINAL_WORDS:
-        ordinal = _ORDINAL_WORDS[tokens.pop(0)]
-    if not tokens:
-        raise UnknownObject(f"empty reference in {phrase!r}")
-    head = tokens[-1]
-
-    by_id = {o.id: o for o in registry}
-    if head in by_id:
-        return head
-    candidates = sorted(o.id for o in registry if o.label.lower() == head)
-    if not candidates:
-        raise UnknownObject(f"no object matches {head!r}")
-    if ordinal is not None:
-        try:
-            canonical = canonicalize_id(head, ordinal)
-        except Exception:
-            canonical = None
-        if canonical in candidates:
-            return canonical
-        if ordinal <= len(candidates):
-            return candidates[ordinal - 1]
-        raise UnknownObject(f"no {ordinal}-th object labeled {head!r}")
-    if len(candidates) > 1:
-        raise AmbiguousReference(
-            f"{head!r} matches {len(candidates)} objects: {', '.join(candidates)}"
-        )
-    return candidates[0]
+    return _LabelIndex(registry).resolve(phrase)
 
 
 def _parse_clauses(sentence: str, base: int):
@@ -153,15 +167,16 @@ def parse_caption_with_diagnostics(
     triplets: list[SpatialTriplet] = []
     diagnostics: list[ParseDiagnostic] = []
     seen: set[tuple[str, str]] = set()
+    index = _LabelIndex(registry)
     for sentence_match in _SENTENCE_RE.finditer(text):
         sentence = sentence_match.group(0)
         if not sentence.strip():
             continue
         base = sentence_match.start()
         for subjects, predicate, object_text, span in _parse_clauses(sentence, base):
-            support = resolve_reference(object_text, registry)
+            support = index.resolve(object_text)
             for subject_phrase in subjects:
-                subject = resolve_reference(subject_phrase, registry)
+                subject = index.resolve(subject_phrase)
                 if subject == support:
                     raise MalformedSentence(
                         f"{subject!r} cannot rest on itself", span=span

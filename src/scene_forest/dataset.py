@@ -33,6 +33,14 @@ def _require(condition: bool, message: str) -> None:
 
 
 def record_from_dict(data: dict) -> SceneRecord:
+    """Build a SceneRecord from parsed JSON; any malformed part raises SchemaError."""
+    try:
+        return _record_from_dict(data)
+    except DomainError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
+def _record_from_dict(data: dict) -> SceneRecord:
     _require(isinstance(data, dict), "record must be a JSON object")
     for key in ("scene_id", "objects", "captions"):
         _require(key in data, f"missing field {key!r}")
@@ -60,12 +68,9 @@ def record_from_dict(data: dict) -> SceneRecord:
             material=entry["material"],
             transparency=entry["transparency"],
         )
-        try:
-            objects.append(
-                ObjectInstance(id=entry["id"], label=entry["label"], attributes=attributes)
-            )
-        except DomainError as exc:
-            raise SchemaError(str(exc)) from exc
+        objects.append(
+            ObjectInstance(id=entry["id"], label=entry["label"], attributes=attributes)
+        )
 
     captions = []
     for caption in data["captions"]:
@@ -90,15 +95,12 @@ def record_from_dict(data: dict) -> SceneRecord:
             )
         triplets = tuple(parsed)
 
-    try:
-        return SceneRecord(
-            scene_id=data["scene_id"],
-            objects=tuple(objects),
-            captions=tuple(captions),
-            triplets=triplets,
-        )
-    except DomainError as exc:
-        raise SchemaError(str(exc)) from exc
+    return SceneRecord(
+        scene_id=data["scene_id"],
+        objects=tuple(objects),
+        captions=tuple(captions),
+        triplets=triplets,
+    )
 
 
 def record_to_dict(record: SceneRecord) -> dict:

@@ -4,10 +4,12 @@ Rules: the support surface (lowest object) is the root, every edge points
 from a support to the object resting on it, each node has a single parent,
 and the support graph must be acyclic. Objects mentioned in no triplet are
 attached directly to the root.
+
+Both cycle checks rest on one memoised walk over the parent map that visits
+each node once: O(n), plus a sort for `validate_tree`'s report order.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,46 +43,40 @@ class BuildReport:
         return not self.violations
 
 
-def detect_cycle(triplets: list[SpatialTriplet]) -> list[str] | None:
-    """Shortest support cycle as an id path [x, ..., x], or None if acyclic.
+def _walk_chains(
+    parent: dict[str, str],
+) -> tuple[dict[str, str | None], dict[str, list[str]]]:
+    """Follow every parent chain once, memoising where each one ends.
 
-    Deterministic: among shortest cycles the lexicographically least start
-    node wins.
+    Returns `end`, mapping each key of `parent` to the parentless node its
+    chain reaches, or to None when the chain runs into a cycle; and each
+    cycle as the path [x, ..., x] from its least node x, keyed by x. Nodes
+    have one parent each, so cycles are disjoint and each node is walked
+    once: O(n).
     """
-    edges: dict[str, set[str]] = {}
-    for t in triplets:
-        edges.setdefault(t.subject, set()).add(t.support)
-    best: tuple[int, str, list[str]] | None = None
-    for start in sorted(edges):
-        # BFS from start back to start over subject -> support edges.
-        prev: dict[str, str] = {}
-        queue = deque([start])
-        seen = {start}
-        found = None
-        while queue:
-            node = queue.popleft()
-            for nxt in sorted(edges.get(node, ())):
-                if nxt == start:
-                    path = [start]
-                    cur = node
-                    while cur != start:
-                        path.append(cur)
-                        cur = prev[cur]
-                    path.append(start)
-                    path[1:-1] = reversed(path[1:-1])
-                    found = path
-                    break
-                if nxt not in seen:
-                    seen.add(nxt)
-                    prev[nxt] = node
-                    queue.append(nxt)
-            if found:
-                break
-        if found:
-            key = (len(found), found[0], found)
-            if best is None or key < best:
-                best = key
-    return best[2] if best else None
+    end: dict[str, str | None] = {}
+    cycles: dict[str, list[str]] = {}
+    for start in parent:
+        if start in end:
+            continue
+        path: dict[str, None] = {}  # the unresolved chain so far, in walk order
+        cur = start
+        while cur in parent and cur not in end and cur not in path:
+            path[cur] = None
+            cur = parent[cur]
+        if cur in end:
+            tail = end[cur]
+        elif cur in path:
+            tail = None
+            loop = list(path)
+            loop = loop[loop.index(cur):]
+            i = loop.index(min(loop))
+            cycles[loop[i]] = loop[i:] + loop[:i + 1]
+        else:
+            tail = cur
+        for node in path:
+            end[node] = tail
+    return end, cycles
 
 
 def _infer_root(
@@ -143,10 +139,11 @@ def build_tree(
         parent[t.subject] = t.support
         usable.append(t)
 
-    cycle = detect_cycle(usable)
-    if cycle:
+    _, cycles = _walk_chains(parent)
+    if cycles:
+        shortest = min(cycles.values(), key=lambda c: (len(c), c[0]))
         violations.append(
-            Violation(ViolationKind.CYCLE, "support cycle: " + " -> ".join(cycle))
+            Violation(ViolationKind.CYCLE, "support cycle: " + " -> ".join(shortest))
         )
 
     root, root_violation = _infer_root(usable, objects)
@@ -193,33 +190,18 @@ def validate_tree(tree: SceneTree) -> list[Violation]:
                 Violation(ViolationKind.NO_ROOT, f"{node} has no parent and is not root")
             )
 
-    # Walk parent chains; a chain that revisits a node is a cycle, a chain
-    # that never reaches the root is a connectivity breach.
-    cycle_nodes: set[str] = set()
+    # A chain that runs into a cycle is reported once, as that cycle at its
+    # least node; a chain that ends short of the root is a connectivity breach.
+    end, cycles = _walk_chains(tree.parent)
     for node in sorted(tree.nodes):
-        seen: dict[str, None] = {}  # the chain so far, in walk order
-        cur = node
-        while cur in tree.parent:
-            if cur in seen:
-                if node == cur and node not in cycle_nodes:
-                    cycle_nodes.update(seen)
-                    violations.append(
-                        Violation(
-                            ViolationKind.CYCLE,
-                            "support cycle: " + " -> ".join([*seen, cur]),
-                        )
-                    )
-                break
-            seen[cur] = None
-            cur = tree.parent[cur]
-        else:
-            if cur != tree.root:
-                violations.append(
-                    Violation(
-                        ViolationKind.NO_ROOT,
-                        f"{node} does not reach root {tree.root}",
-                    )
-                )
+        if node in cycles:
+            violations.append(
+                Violation(ViolationKind.CYCLE, "support cycle: " + " -> ".join(cycles[node]))
+            )
+        elif end.get(node, node) not in (None, tree.root):
+            violations.append(
+                Violation(ViolationKind.NO_ROOT, f"{node} does not reach root {tree.root}")
+            )
     if tree.root in tree.parent and not any(
         v.kind is ViolationKind.CYCLE for v in violations
     ):

@@ -1,13 +1,17 @@
+import re
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scene_forest.captions import (
-    grammar_productions,
     parse_caption,
     parse_caption_with_diagnostics,
     resolve_reference,
 )
 from scene_forest.errors import AmbiguousReference, MalformedSentence, UnknownObject
-from scene_forest.model import SpatialPredicate
+from scene_forest.model import SpatialPredicate, canonicalize_id
 
 from conftest import make_object, make_table
 
@@ -132,8 +136,127 @@ class TestResolveReference:
             resolve_reference("the third cup", registry)
 
 
-def test_grammar_productions_fixed_set():
-    productions = grammar_productions()
-    assert "<NP> is on top of <NP>" in productions
-    assert "<NP> is on <NP>" in productions
-    assert productions == grammar_productions()
+_DETERMINERS = {"the", "a", "an"}
+_ORDINAL_WORDS = {
+    "first": 1, "second": 2, "third": 3, "fourth": 4, "fifth": 5,
+    "sixth": 6, "seventh": 7, "eighth": 8, "ninth": 9, "tenth": 10,
+}
+
+
+def reference_resolve(phrase, registry):
+    """The registry-scanning resolver the label index replaced, kept verbatim."""
+    tokens = [t for t in re.split(r"[\s,]+", phrase.strip().lower()) if t]
+    tokens = [t.strip(".,;:!?\"'") for t in tokens]
+    tokens = [t for t in tokens if t]
+    while tokens and tokens[0] in _DETERMINERS:
+        tokens.pop(0)
+    ordinal = None
+    if tokens and tokens[0] in _ORDINAL_WORDS:
+        ordinal = _ORDINAL_WORDS[tokens.pop(0)]
+    if not tokens:
+        raise UnknownObject(f"empty reference in {phrase!r}")
+    head = tokens[-1]
+
+    by_id = {o.id: o for o in registry}
+    if head in by_id:
+        return head
+    candidates = sorted(o.id for o in registry if o.label.lower() == head)
+    if not candidates:
+        raise UnknownObject(f"no object matches {head!r}")
+    if ordinal is not None:
+        try:
+            canonical = canonicalize_id(head, ordinal)
+        except Exception:
+            canonical = None
+        if canonical in candidates:
+            return canonical
+        if ordinal <= len(candidates):
+            return candidates[ordinal - 1]
+        raise UnknownObject(f"no {ordinal}-th object labeled {head!r}")
+    if len(candidates) > 1:
+        raise AmbiguousReference(
+            f"{head!r} matches {len(candidates)} objects: {', '.join(candidates)}"
+        )
+    return candidates[0]
+
+
+def _outcome(resolve, phrase, registry):
+    try:
+        return resolve(phrase, registry)
+    except (UnknownObject, AmbiguousReference) as exc:
+        return type(exc), str(exc)
+
+
+# Few labels and ids, so labels repeat, ids run past the tenth (where string
+# and numeric order differ), and a label's canonical id may carry another
+# label.
+_LABELS = ["cup", "Cup", "CUP", "book", "box", "cup_2"]
+_IDS = [f"{stem}_{n}" for stem in ("cup", "book", "box") for n in (1, 2, 3, 10, 11, 12)]
+
+
+@st.composite
+def registries(draw):
+    ids = draw(st.lists(st.sampled_from(_IDS), unique=True, max_size=12))
+    return [make_object(i, label=draw(st.sampled_from(_LABELS))) for i in ids]
+
+
+_PHRASES = st.builds(
+    lambda det, ordinal, adjective, head, tail: " ".join(
+        w for w in (det, ordinal, adjective, head) if w
+    ) + tail,
+    st.sampled_from(["", "the", "The", "a", "an"]),
+    st.sampled_from(["", "first", "second", "third", "tenth", "eleventh"]),
+    st.sampled_from(["", "red", "first"]),
+    st.sampled_from(["cup", "Cup", "book", "box", "spoon", "cup_2", "cup_10", "book_11", ""]),
+    st.sampled_from(["", ",", ".", "!", " ,"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(registry=registries(), phrase=_PHRASES)
+def test_resolve_matches_reference(registry, phrase):
+    assert _outcome(resolve_reference, phrase, registry) == _outcome(
+        reference_resolve, phrase, registry
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    registry=registries(),
+    phrases=st.lists(_PHRASES.filter(lambda p: "." not in p), min_size=2, max_size=4),
+)
+def test_caption_resolves_as_reference(registry, phrases):
+    # Every reference of a caption resolves through one index, as if each
+    # were resolved alone against the whole registry. A "." would end the
+    # sentence inside a phrase, so the phrases here carry none.
+    caption = " and ".join(f"{a} is on {b}" for a, b in zip(phrases, phrases[1:]))
+    expected = [_outcome(reference_resolve, p, registry) for p in phrases]
+    try:
+        result = parse_caption(caption, registry)
+    except (UnknownObject, AmbiguousReference) as exc:
+        assert (type(exc), str(exc)) in expected
+    except MalformedSentence:
+        pass
+    else:
+        pairs = list(dict.fromkeys(zip(expected, expected[1:])))
+        assert [(t.subject, t.support) for t in result] == pairs
+
+
+def test_parse_scales_linearly_in_caption_length():
+    # 3 000 sentences, one distinct label per object. On a 2-vCPU host the
+    # registry scan per reference took about 3 s here and the label index
+    # about 60 ms, so the bound tolerates a loaded host and still catches a
+    # return to O(n^2).
+    n = 3000
+    registry = [make_table()] + [
+        make_object(f"thing{i}_1", label=f"thing{i}") for i in range(n)
+    ]
+    caption = " ".join(
+        f"The thing{i} is on the {'table' if i == 0 else f'thing{i - 1}'}."
+        for i in range(n)
+    )
+    start = time.perf_counter()
+    result = parse_caption(caption, registry)
+    elapsed = time.perf_counter() - start
+    assert len(result) == n and result[-1].support == f"thing{n - 2}_1"
+    assert elapsed < 0.5, f"parsing a {n}-sentence caption took {elapsed:.2f} s"

@@ -154,7 +154,7 @@ class TestCmdPipeline:
         ]
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 2
-        assert lines[0].startswith("scene_0002: DomainError: mass_grams")
+        assert lines[0].startswith("scene_0002: SchemaError: mass_grams")
         assert lines[1] == "processed 5 scenes, 1 failed"
 
     def test_out_is_existing_file(self, scene_file, tmp_path, capsys):

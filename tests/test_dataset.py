@@ -13,7 +13,7 @@ from scene_forest.dataset import (
     render_caption,
     save_scene_record,
 )
-from scene_forest.errors import DomainError, IoError, SchemaError
+from scene_forest.errors import IoError, SchemaError
 from scene_forest.model import SceneRecord, SpatialPredicate
 from scene_forest.treebuild import build_tree, validate_tree
 
@@ -62,7 +62,7 @@ class TestLoadRecord:
         for mass in (-3, 10**400):
             data["objects"][0]["mass_grams"] = mass
             path.write_text(json.dumps(data))
-            with pytest.raises(DomainError, match="mass_grams must be positive and finite") as info:
+            with pytest.raises(SchemaError, match="mass_grams must be positive and finite") as info:
                 load_scene_record(path)
             assert len(str(info.value)) < 120
 
@@ -71,7 +71,7 @@ class TestLoadRecord:
         data["objects"][0]["material"] = "cheese"
         path = tmp_path / "s.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(DomainError):
+        with pytest.raises(SchemaError):
             load_scene_record(path)
 
     def test_missing_field(self):
@@ -144,7 +144,7 @@ def test_mutated_record_loads_or_raises_schema_errors(data):
             container[path[-1]] = data.draw(_JSON_VALUES)
     try:
         assert isinstance(record_from_dict(record), SceneRecord)
-    except (SchemaError, DomainError):
+    except SchemaError:
         pass
 
 
