@@ -6,9 +6,11 @@ are distributed. Matching is case-insensitive; determiners and adjectives
 before a known label are ignored (the head noun is the last token of each
 noun phrase).
 
-A parse indexes the registry once (each id's label, and each label's sorted
-ids) and resolves every noun phrase against that index without rescanning
-the registry, so parsing a caption costs O(caption length + registry size).
+A parse resolves every noun phrase against a `LabelIndex` of the registry
+(each id's label, and each label's sorted ids) without rescanning the
+registry, so parsing a caption costs O(caption length + registry size). A
+caller parsing several captions over one registry builds the index once and
+passes it in place of the registry.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ class ParseDiagnostic:
     message: str
 
 
-class _LabelIndex:
+class LabelIndex:
     """Each id's lowercased label and each lowercased label's sorted ids, built
     in one pass so that references resolve without rescanning the registry.
     Registry ids are unique (SceneRecord rejects duplicates)."""
@@ -97,7 +99,7 @@ def resolve_reference(phrase: str, registry: list[ObjectInstance]) -> str:
     single object, or carry an ordinal disambiguator ("the second cup").
     Indexes the registry on each call: O(n).
     """
-    return _LabelIndex(registry).resolve(phrase)
+    return LabelIndex(registry).resolve(phrase)
 
 
 def _parse_clauses(sentence: str, base: int):
@@ -154,10 +156,11 @@ def _parse_clauses(sentence: str, base: int):
 
 
 def parse_caption_with_diagnostics(
-    caption: str, registry: list[ObjectInstance]
+    caption: str, registry: list[ObjectInstance] | LabelIndex
 ) -> tuple[list[SpatialTriplet], list[ParseDiagnostic]]:
     """Parse a caption into triplets, collecting warning diagnostics.
 
+    `registry` is the scene's objects or a `LabelIndex` built from them.
     Duplicate relations within one caption are deduplicated with a warning.
     Errors (unknown object, ambiguous reference, malformed sentence) raise.
     """
@@ -167,7 +170,7 @@ def parse_caption_with_diagnostics(
     triplets: list[SpatialTriplet] = []
     diagnostics: list[ParseDiagnostic] = []
     seen: set[tuple[str, str]] = set()
-    index = _LabelIndex(registry)
+    index = registry if isinstance(registry, LabelIndex) else LabelIndex(registry)
     for sentence_match in _SENTENCE_RE.finditer(text):
         sentence = sentence_match.group(0)
         if not sentence.strip():
@@ -198,7 +201,9 @@ def parse_caption_with_diagnostics(
     return triplets, diagnostics
 
 
-def parse_caption(caption: str, registry: list[ObjectInstance]) -> list[SpatialTriplet]:
+def parse_caption(
+    caption: str, registry: list[ObjectInstance] | LabelIndex
+) -> list[SpatialTriplet]:
     """Parse a caption into support triplets, in textual order."""
     triplets, _ = parse_caption_with_diagnostics(caption, registry)
     return triplets

@@ -7,6 +7,7 @@ data; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -64,11 +65,11 @@ def _report(exc: Exception, scene: str | None = None) -> int:
 def _scene_triplets(record: SceneRecord):
     if record.triplets is not None:
         return list(record.triplets)
-    registry = record.registry()
+    index = caption_mod.LabelIndex(record.registry())
     triplets = []
     for caption in record.captions:
         if caption.strip():
-            triplets.extend(caption_mod.parse_caption(caption, registry))
+            triplets.extend(caption_mod.parse_caption(caption, index))
     return triplets
 
 
@@ -194,7 +195,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by later `main` calls.
+
+    Parsing leaves the parser unchanged, so one instance serves every call;
+    building it lazily keeps it out of the module's import time.
+    """
     parser = argparse.ArgumentParser(
         prog="scene-forest",
         description="Caption-to-tree parsing, task reorganization, and planning",

@@ -6,12 +6,19 @@ returned tree block. Each parsed reply then passes the goal gate,
 that fails to parse or fails the gate is re-prompted with the violation
 text, up to the configured retry budget. The goal returned has passed the
 gate and is not checked again.
+
+The client is the standard library's `urllib.request`, one request per
+attempt. An attempt is retried when the connection fails or times out, the
+reply is not 2xx, its body is not JSON, or the JSON lacks the chat-reply
+shape (a string at `choices[0].message.content`).
 """
 from __future__ import annotations
 
+import http.client
+import json
 import os
-
-import requests
+import urllib.error
+import urllib.request
 
 # parse_tree_block is looked up through its module at call time so that
 # perfbench's tracer, which patches treetext.parse_tree_block, sees the call.
@@ -46,21 +53,35 @@ def build_messages(tree: SceneTree, task: TaskSpec) -> list[dict]:
     ]
 
 
+# What one failed attempt can raise: OSError covers URLError, HTTPError
+# (a non-2xx reply), socket timeouts and resets; ValueError covers a body
+# that is not JSON and an endpoint URL that urllib cannot parse.
+_ATTEMPT_ERRORS = (OSError, http.client.HTTPException, ValueError, BackendError)
+
+
 def _post_chat(config, messages: list[dict]) -> str:
     body = {"model": config.model_name, "messages": messages, "temperature": 0}
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(API_KEY_ENV)
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    resp = requests.post(
-        config.endpoint_url, json=body, headers=headers, timeout=config.timeout_seconds
+    request = urllib.request.Request(
+        config.endpoint_url, data=json.dumps(body).encode(), headers=headers, method="POST"
     )
-    resp.raise_for_status()
-    payload = resp.json()
     try:
-        return payload["choices"][0]["message"]["content"]
+        with urllib.request.urlopen(request, timeout=config.timeout_seconds) as resp:
+            raw = resp.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()  # the error carries the reply body; release its socket
+        raise
+    payload = json.loads(raw)
+    try:
+        content = payload["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
         raise BackendError(f"malformed chat response: {exc}") from exc
+    if not isinstance(content, str):
+        raise BackendError(f"malformed chat response: content is {type(content).__name__}")
+    return content
 
 
 def request_goal_tree(tree: SceneTree, task: TaskSpec, config) -> SceneTree:
@@ -71,7 +92,7 @@ def request_goal_tree(tree: SceneTree, task: TaskSpec, config) -> SceneTree:
     for _ in range(config.max_retries + 1):
         try:
             content = _post_chat(config, messages)
-        except (requests.RequestException, BackendError) as exc:
+        except _ATTEMPT_ERRORS as exc:
             last_error = exc
             continue
         try:

@@ -10,6 +10,7 @@ each node once: O(n), plus a sort for `validate_tree`'s report order.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -109,7 +110,7 @@ def build_tree(
     violations: list[Violation] = []
     by_id = {o.id: o for o in objects}
     if len(by_id) != len(objects):
-        dupes = sorted({o.id for o in objects if [x.id for x in objects].count(o.id) > 1})
+        dupes = sorted(i for i, n in Counter(o.id for o in objects).items() if n > 1)
         violations.append(
             Violation(ViolationKind.UNKNOWN_ID, f"duplicate object ids: {', '.join(dupes)}")
         )

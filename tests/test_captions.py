@@ -6,12 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scene_forest.captions import (
+    LabelIndex,
     parse_caption,
     parse_caption_with_diagnostics,
     resolve_reference,
 )
-from scene_forest.errors import AmbiguousReference, MalformedSentence, UnknownObject
-from scene_forest.model import SpatialPredicate, canonicalize_id
+from scene_forest.cli import _scene_triplets
+from scene_forest.dataset import GeneratorConfig, generate_synthetic_scene
+from scene_forest.errors import (
+    AmbiguousReference,
+    CaptionError,
+    MalformedSentence,
+    UnknownObject,
+)
+from scene_forest.model import SceneRecord, SpatialPredicate, canonicalize_id
 
 from conftest import make_object, make_table
 
@@ -240,6 +248,57 @@ def test_caption_resolves_as_reference(registry, phrases):
     else:
         pairs = list(dict.fromkeys(zip(expected, expected[1:])))
         assert [(t.subject, t.support) for t in result] == pairs
+
+
+@st.composite
+def caption_records(draw):
+    """Caption-only records: a generated scene (one caption per relation, all
+    of which parse), or drawn phrases over a tie-prone registry (most fail to
+    resolve); blank captions are mixed in either way."""
+    if draw(st.booleans()):
+        config = GeneratorConfig(seed=draw(st.integers(0, 10**6)))
+        generated = generate_synthetic_scene(config, draw(st.integers(0, 50)))
+        objects, captions = generated.objects, list(generated.captions)
+    else:
+        objects = draw(registries())
+        clauses = st.lists(_PHRASES.filter(lambda p: "." not in p), min_size=2, max_size=3)
+        captions = [
+            " and ".join(f"{a} is on {b}" for a, b in zip(ps, ps[1:]))
+            for ps in draw(st.lists(clauses, min_size=1, max_size=4))
+        ]
+    for _ in range(draw(st.integers(0, 2))):
+        captions.insert(draw(st.integers(0, len(captions))), " ")
+    return SceneRecord(scene_id="s", objects=tuple(objects), captions=tuple(captions))
+
+
+def _triplets_or_error(parse):
+    try:
+        return parse()
+    except CaptionError as exc:
+        return type(exc), str(exc)
+
+
+def _parse_each_caption_alone(record):
+    registry = record.registry()
+    return [
+        t for caption in record.captions if caption.strip()
+        for t in parse_caption(caption, registry)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=caption_records())
+def test_record_index_parses_as_per_caption_registry(record):
+    # One label index shared by a record's captions gives the triplets (or
+    # the first error) that parsing each caption against the registry gives.
+    assert _triplets_or_error(lambda: _scene_triplets(record)) == _triplets_or_error(
+        lambda: _parse_each_caption_alone(record)
+    )
+
+
+def test_parse_caption_accepts_a_label_index(registry):
+    caption = "The book is on the table. The cup and the pen are on the book."
+    assert parse_caption(caption, LabelIndex(registry)) == parse_caption(caption, registry)
 
 
 def test_parse_scales_linearly_in_caption_length():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from scene_forest.cli import (
     EXIT_PARSE,
     EXIT_SCHEMA,
     EXIT_UNSUPPORTED_TASK,
+    build_parser,
     main,
 )
 from scene_forest.dataset import GeneratorConfig, generate_synthetic_scene, save_scene_record
@@ -178,6 +183,32 @@ class TestCmdPipeline:
         err = capsys.readouterr().err
         assert err.startswith("usage:")
         assert "--jobs" in err
+
+
+class TestParser:
+    def test_built_once_and_usage_errors_repeat(self, capsys):
+        assert build_parser() is build_parser()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["pipeline", "--task"])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.startswith("usage: scene-forest pipeline")
+
+    def test_import_builds_no_parser_and_loads_no_http_client(self):
+        # Importing the CLI stays cheap: the parser is built by the first
+        # `main` call and the remote client by the first remote scene.
+        probe = (
+            "import sys, scene_forest.cli as cli; "
+            "print(cli.build_parser.cache_info().currsize, "
+            "sorted(m for m in ('scene_forest.remote', 'urllib.request') if m in sys.modules))"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        run = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "0 []"
 
 
 class TestCmdGen:

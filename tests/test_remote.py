@@ -1,6 +1,11 @@
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +19,12 @@ from conftest import chain_tree
 
 
 class StubChatServer:
-    """Chat-completion stub: records request bodies, replays canned replies."""
+    """Chat-completion stub: records request bodies, replays canned replies.
+
+    A reply is (status, content): a non-200 status is sent as an HTTP error,
+    bytes content as the raw 200 body, and text content as the first
+    message of a chat reply.
+    """
 
     def __init__(self, responses):
         self.requests = []
@@ -35,9 +45,12 @@ class StubChatServer:
                 if status != 200:
                     self.send_error(status)
                     return
-                payload = json.dumps(
-                    {"choices": [{"message": {"role": "assistant", "content": content}}]}
-                ).encode()
+                if isinstance(content, bytes):
+                    payload = content
+                else:
+                    payload = json.dumps(
+                        {"choices": [{"message": {"role": "assistant", "content": content}}]}
+                    ).encode()
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
@@ -48,7 +61,9 @@ class StubChatServer:
                 pass
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self.thread.start()
 
     @property
@@ -159,3 +174,96 @@ def test_messages_contain_preamble(tree, task):
     assert messages[0]["role"] == "system"
     assert "robotic arm" in messages[0]["content"]
     assert messages[1]["content"].startswith("TREE")
+
+
+def test_non_json_body_is_retried_then_backend_error(tree, task):
+    server = StubChatServer([(200, b"<html>busy</html>"), (200, b"{not json")])
+    try:
+        with pytest.raises(BackendError, match="failed after retries"):
+            request_goal_tree(tree, task, config_for(server, retries=1))
+    finally:
+        server.close()
+    assert len(server.requests) == 2
+
+
+def test_malformed_reply_shape_is_backend_error(tree, task):
+    server = StubChatServer([
+        (200, b'{"choices": []}'),
+        (200, b"[1, 2]"),
+        (200, b'{"choices": [{"message": {"content": null}}]}'),
+    ])
+    try:
+        with pytest.raises(BackendError, match="malformed chat response"):
+            request_goal_tree(tree, task, config_for(server, retries=2))
+    finally:
+        server.close()
+    assert len(server.requests) == 3
+
+
+def test_http_error_then_valid_reply_recovers(tree, task):
+    server = StubChatServer([(500, ""), (200, goal_block(tree))])
+    try:
+        goal = request_goal_tree(tree, task, config_for(server, retries=1))
+    finally:
+        server.close()
+    assert goal.parent == {"cup_1": "table_1", "book_1": "cup_1"}
+    assert len(server.requests) == 2
+
+
+def test_closed_port_is_backend_error(tree, task):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    config = BackendConfig(
+        backend=Backend.REMOTE,
+        endpoint_url=f"http://127.0.0.1:{port}/v1/chat/completions",
+        model_name="test-model",
+        timeout_seconds=5,
+        max_retries=1,
+    )
+    with pytest.raises(BackendError, match="failed after retries"):
+        request_goal_tree(tree, task, config)
+
+
+def test_no_bearer_header_without_api_key(tree, task, monkeypatch):
+    # test_request_shape_and_valid_response covers the header with a key set.
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    server = StubChatServer([(200, goal_block(tree))])
+    try:
+        request_goal_tree(tree, task, config_for(server))
+    finally:
+        server.close()
+    assert server.requests[0]["auth"] is None
+
+
+_WITHOUT_REQUESTS = """
+import sys
+sys.modules["requests"] = None  # any import of requests now fails
+from scene_forest.model import TaskKind, TaskSpec
+from scene_forest.remote import request_goal_tree
+from scene_forest.reorganize import Backend, BackendConfig
+from conftest import chain_tree
+
+config = BackendConfig(backend=Backend.REMOTE, endpoint_url=sys.argv[1],
+                       model_name="test-model", timeout_seconds=5, max_retries=0)
+goal = request_goal_tree(chain_tree("book_1", "cup_1"),
+                         TaskSpec(kind=TaskKind.FREE_TEXT, raw_prompt="tidy"), config)
+print(sorted(goal.parent.items()))
+"""
+
+
+def test_round_trip_without_requests_installed(tree):
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = tests_dir.parent / "src"
+    server = StubChatServer([(200, goal_block(tree))])
+    try:
+        run = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_REQUESTS, server.url],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": f"{src_dir}{os.pathsep}{tests_dir}"},
+        )
+    finally:
+        server.close()
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[('book_1', 'cup_1'), ('cup_1', 'table_1')]"
+    assert len(server.requests) == 1
