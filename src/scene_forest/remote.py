@@ -61,13 +61,17 @@ _ATTEMPT_ERRORS = (OSError, http.client.HTTPException, ValueError, BackendError)
 
 def _post_chat(config, messages: list[dict]) -> str:
     body = {"model": config.model_name, "messages": messages, "temperature": 0}
-    headers = {"Content-Type": "application/json"}
+    request = urllib.request.Request(
+        config.endpoint_url,
+        data=json.dumps(body).encode(),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
     api_key = os.environ.get(API_KEY_ENV)
     if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-    request = urllib.request.Request(
-        config.endpoint_url, data=json.dumps(body).encode(), headers=headers, method="POST"
-    )
+        # urllib copies ordinary headers onto a redirect to any host; an
+        # unredirected header goes only to the endpoint the caller named.
+        request.add_unredirected_header("Authorization", f"Bearer {api_key}")
     try:
         with urllib.request.urlopen(request, timeout=config.timeout_seconds) as resp:
             raw = resp.read()

@@ -21,9 +21,10 @@ from conftest import chain_tree
 class StubChatServer:
     """Chat-completion stub: records request bodies, replays canned replies.
 
-    A reply is (status, content): a non-200 status is sent as an HTTP error,
-    bytes content as the raw 200 body, and text content as the first
-    message of a chat reply.
+    A reply is (status, content): a 3xx status is sent as a redirect to the
+    URL in content, any other non-200 status as an HTTP error, bytes content
+    as the raw 200 body, and text content as the first message of a chat
+    reply.
     """
 
     def __init__(self, responses):
@@ -33,15 +34,22 @@ class StubChatServer:
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
-                length = int(self.headers["Content-Length"])
+                raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
                 stub.requests.append(
                     {
-                        "body": json.loads(self.rfile.read(length)),
+                        "method": self.command,
+                        "body": json.loads(raw) if raw else None,
                         "auth": self.headers.get("Authorization"),
                         "path": self.path,
                     }
                 )
                 status, content = stub.responses.pop(0)
+                if 300 <= status < 400:
+                    self.send_response(status)
+                    self.send_header("Location", content)
+                    self.send_header("Content-Length", "0")
+                    self.end_headers()
+                    return
                 if status != 200:
                     self.send_error(status)
                     return
@@ -56,6 +64,8 @@ class StubChatServer:
                 self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()
                 self.wfile.write(payload)
+
+            do_GET = do_POST  # urllib follows a 301/302/303 with a GET
 
             def log_message(self, *args):
                 pass
@@ -234,6 +244,21 @@ def test_no_bearer_header_without_api_key(tree, task, monkeypatch):
     finally:
         server.close()
     assert server.requests[0]["auth"] is None
+
+
+def test_redirect_does_not_forward_bearer_header(tree, task, monkeypatch):
+    monkeypatch.setenv(API_KEY_ENV, "sekrit")
+    elsewhere = StubChatServer([(200, goal_block(tree))])
+    server = StubChatServer([(302, elsewhere.url)])
+    try:
+        goal = request_goal_tree(tree, task, config_for(server, retries=0))
+    finally:
+        server.close()
+        elsewhere.close()
+    assert goal.parent == {"cup_1": "table_1", "book_1": "cup_1"}
+    assert server.requests[0]["auth"] == "Bearer sekrit"
+    assert elsewhere.requests[0]["method"] == "GET"
+    assert elsewhere.requests[0]["auth"] is None
 
 
 _WITHOUT_REQUESTS = """
