@@ -14,7 +14,7 @@ from .model import (
     canonicalize_id,
 )
 from .captions import parse_caption, resolve_reference
-from .treebuild import build_tree, validate_tree, depth, clear_objects, to_dot
+from .treebuild import build_tree, validate_tree, to_dot
 from .reorganize import (
     Backend,
     BackendConfig,
@@ -25,7 +25,7 @@ from .reorganize import (
     rule_stack_object,
     rule_unstack_all,
 )
-from .planner import diff_trees, execute_plan, optimal_plan_bfs, plan_moves
+from .planner import diff_trees, execute_plan, plan_moves
 from .dataset import (
     GeneratorConfig,
     generate_synthetic_scene,
@@ -51,13 +51,10 @@ __all__ = [
     "build_tree",
     "canonicalize_id",
     "check_physical_constraints",
-    "clear_objects",
-    "depth",
     "diff_trees",
     "execute_plan",
     "generate_synthetic_scene",
     "load_scene_record",
-    "optimal_plan_bfs",
     "parse_caption",
     "plan_moves",
     "render_caption",

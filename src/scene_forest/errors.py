@@ -92,10 +92,6 @@ class SelfMove(SceneForestError):
     pass
 
 
-class SearchBudgetExceeded(SceneForestError):
-    pass
-
-
 # --- dataset io --------------------------------------------------------------
 
 class IoError(SceneForestError):

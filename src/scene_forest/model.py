@@ -145,11 +145,6 @@ class SceneTree:
             stack.extend(reversed(children.get(node, ())))
         return out
 
-    def with_parent(self, node_id: str, new_parent: str) -> "SceneTree":
-        updated = dict(self.parent)
-        updated[node_id] = new_parent
-        return SceneTree(root=self.root, nodes=self.nodes, parent=updated)
-
 
 class TaskKind(Enum):
     STACK_ALL = "stack_all"

@@ -4,7 +4,6 @@ Only clear (childless) objects may be picked; the root surface has
 unlimited capacity and doubles as the staging area. The greedy planner
 places objects bottom-up once their goal support chain is settled, staging
 blockers on the root; it is sound and bounded by 2n moves but not optimal.
-A breadth-first oracle provides optimal plans for small instances.
 
 `plan_moves` and `execute_plan` work on a private mutable state (parent
 map, child counts, and for the planner a settled set and depths) and
@@ -20,14 +19,13 @@ O(n log n) and its replay O(n + moves).
 from __future__ import annotations
 
 import heapq
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
     IdMismatch,
     PickNotClear,
     RootMismatch,
-    SearchBudgetExceeded,
     SelfMove,
     UnknownId,
 )
@@ -58,38 +56,26 @@ def diff_trees(initial: SceneTree, goal: SceneTree) -> set[str]:
     }
 
 
-def _check_move(
-    tree: SceneTree, parent: dict[str, str], child_count: dict[str, int],
-    move: MoveAction,
-) -> None:
-    """The pick/place rules for `move` on the arrangement `parent` of `tree`'s
-    objects. A clear object has nothing above it, so no legal move can
-    create a cycle."""
-    if move.object not in tree.nodes:
-        raise UnknownId(f"unknown object {move.object!r}")
-    if move.destination not in tree.nodes:
-        raise UnknownId(f"unknown destination {move.destination!r}")
-    if move.object == move.destination:
-        raise SelfMove(f"{move.object} onto itself")
-    if move.object == tree.root:
-        raise PickNotClear(f"root {move.object} cannot be picked")
-    if child_count[move.object]:
-        carried = sorted(c for c, p in parent.items() if p == move.object)
-        raise PickNotClear(f"{move.object} carries {', '.join(carried)}")
-
-
-def apply_move(tree: SceneTree, move: MoveAction) -> SceneTree:
-    """Reparent a clear object; no-op moves are legal."""
-    _check_move(tree, tree.parent, Counter(tree.parent.values()), move)
-    return tree.with_parent(move.object, move.destination)
-
-
 def execute_plan(tree: SceneTree, plan: Plan) -> SceneTree:
-    """Apply the moves in order, enforcing pick/place legality throughout."""
+    """Apply the moves in order, enforcing pick/place legality throughout.
+
+    A clear object has nothing above it, so no legal move can create a
+    cycle.
+    """
     parent = dict(tree.parent)
     child_count = Counter(parent.values())
     for move in plan.moves:
-        _check_move(tree, parent, child_count, move)
+        if move.object not in tree.nodes:
+            raise UnknownId(f"unknown object {move.object!r}")
+        if move.destination not in tree.nodes:
+            raise UnknownId(f"unknown destination {move.destination!r}")
+        if move.object == move.destination:
+            raise SelfMove(f"{move.object} onto itself")
+        if move.object == tree.root:
+            raise PickNotClear(f"root {move.object} cannot be picked")
+        if child_count[move.object]:
+            carried = sorted(c for c, p in parent.items() if p == move.object)
+            raise PickNotClear(f"{move.object} carries {', '.join(carried)}")
         child_count[parent[move.object]] -= 1
         child_count[move.destination] += 1
         parent[move.object] = move.destination
@@ -163,54 +149,3 @@ def plan_moves(initial: SceneTree, goal: SceneTree) -> PlanTrace:
         if not child_count[old] and old not in settled:
             offer(old)
     return PlanTrace(plan=Plan(moves=tuple(moves)), staged_moves=staged)
-
-
-def _state_key(parent: dict[str, str]) -> tuple:
-    return tuple(sorted(parent.items()))
-
-
-def optimal_plan_bfs(
-    initial: SceneTree, goal: SceneTree, node_limit: int = 200_000
-) -> Plan:
-    """Shortest plan via breadth-first search over reachable arrangements.
-
-    Intended as a test oracle for small scenes (≤ 6 movable objects).
-    Ties are broken by lexicographic (object, destination) move ordering.
-    """
-    _check_pair(initial, goal)
-    ids = sorted(initial.nodes)
-    start = _state_key(initial.parent)
-    target = _state_key(goal.parent)
-    if start == target:
-        return Plan(moves=())
-    came_from: dict[tuple, tuple[tuple, MoveAction]] = {}
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        key = queue.popleft()
-        parent = dict(key)
-        supports = set(parent.values())
-        clear = [n for n in ids if n != initial.root and n not in supports]
-        for obj in clear:
-            for dest in ids:
-                if dest == obj or parent[obj] == dest:
-                    continue
-                nxt = dict(parent)
-                nxt[obj] = dest
-                nkey = _state_key(nxt)
-                if nkey in seen:
-                    continue
-                seen.add(nkey)
-                if len(seen) > node_limit:
-                    raise SearchBudgetExceeded(f"exceeded {node_limit} states")
-                came_from[nkey] = (key, MoveAction(object=obj, destination=dest))
-                if nkey == target:
-                    moves: list[MoveAction] = []
-                    cur = nkey
-                    while cur != start:
-                        cur, move = came_from[cur]
-                        moves.append(move)
-                    moves.reverse()
-                    return Plan(moves=tuple(moves))
-                queue.append(nkey)
-    raise SearchBudgetExceeded("goal unreachable within explored states")

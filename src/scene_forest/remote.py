@@ -9,8 +9,9 @@ gate and is not checked again.
 
 The client is the standard library's `urllib.request`, one request per
 attempt. An attempt is retried when the connection fails or times out, the
-reply is not 2xx, its body is not JSON, or the JSON lacks the chat-reply
-shape (a string at `choices[0].message.content`).
+reply status is 408, 429 or 5xx, its body is not JSON, or the JSON lacks
+the chat-reply shape (a string at `choices[0].message.content`). Any other
+non-2xx status cannot improve on a resend and fails at once.
 """
 from __future__ import annotations
 
@@ -53,9 +54,10 @@ def build_messages(tree: SceneTree, task: TaskSpec) -> list[dict]:
     ]
 
 
-# What one failed attempt can raise: OSError covers URLError, HTTPError
-# (a non-2xx reply), socket timeouts and resets; ValueError covers a body
-# that is not JSON and an endpoint URL that urllib cannot parse.
+# What one failed attempt can raise: OSError covers URLError, socket
+# timeouts and resets (an HTTPError, a non-2xx reply, is caught first and
+# sorted by status); ValueError covers a body that is not JSON and an
+# endpoint URL that urllib cannot parse.
 _ATTEMPT_ERRORS = (OSError, http.client.HTTPException, ValueError, BackendError)
 
 
@@ -96,6 +98,13 @@ def request_goal_tree(tree: SceneTree, task: TaskSpec, config) -> SceneTree:
     for _ in range(config.max_retries + 1):
         try:
             content = _post_chat(config, messages)
+        except urllib.error.HTTPError as exc:
+            if exc.code not in (408, 429) and not 500 <= exc.code < 600:
+                raise BackendError(
+                    f"remote backend replied HTTP {exc.code} {exc.reason}; not retried"
+                ) from exc
+            last_error = exc
+            continue
         except _ATTEMPT_ERRORS as exc:
             last_error = exc
             continue

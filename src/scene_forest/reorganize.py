@@ -53,15 +53,6 @@ class ConstraintViolation:
     below: str
 
 
-@dataclass(frozen=True)
-class PhysicalConstraintReport:
-    violations: tuple[ConstraintViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def parse_task(prompt: str, registry: list[ObjectInstance]) -> TaskSpec:
     """Map the closed task phrasings to structured kinds, else free text.
 
@@ -88,7 +79,7 @@ def _stack_key(obj: ObjectInstance):
     return (fragility_rank(a.fragility), -a.mass_grams, obj.id)
 
 
-def _chain(tree: SceneTree, base_parent: str, ordered_ids: list[str]) -> dict[str, str]:
+def _chain(base_parent: str, ordered_ids: list[str]) -> dict[str, str]:
     parent = {}
     below = base_parent
     for node_id in ordered_ids:
@@ -103,7 +94,7 @@ def rule_stack_all(tree: SceneTree) -> SceneTree:
     ordered = sorted(
         (tree.nodes[n] for n in tree.nodes if n != tree.root), key=_stack_key
     )
-    parent = _chain(tree, tree.root, [o.id for o in ordered])
+    parent = _chain(tree.root, [o.id for o in ordered])
     return SceneTree(root=tree.root, nodes=tree.nodes, parent=parent)
 
 
@@ -122,7 +113,7 @@ def rule_group_by_material(tree: SceneTree) -> SceneTree:
     parent: dict[str, str] = {}
     for material in sorted(groups):
         ordered = sorted(groups[material], key=_stack_key)
-        parent.update(_chain(tree, tree.root, [o.id for o in ordered]))
+        parent.update(_chain(tree.root, [o.id for o in ordered]))
     return SceneTree(root=tree.root, nodes=tree.nodes, parent=parent)
 
 
@@ -150,11 +141,11 @@ def rule_stack_object(tree: SceneTree, target: str) -> SceneTree:
     for n in members:
         del parent[n]
     chain_ids = [o.id for o in others] + [target]
-    parent.update(_chain(tree, tree.root, chain_ids))
+    parent.update(_chain(tree.root, chain_ids))
     return SceneTree(root=tree.root, nodes=tree.nodes, parent=parent)
 
 
-def check_physical_constraints(tree: SceneTree) -> PhysicalConstraintReport:
+def check_physical_constraints(tree: SceneTree) -> tuple[ConstraintViolation, ...]:
     """Advisory scan of every support path for risky pairings.
 
     FragileBelowHeavier: a more fragile object beneath a less fragile one.
@@ -184,7 +175,7 @@ def check_physical_constraints(tree: SceneTree) -> PhysicalConstraintReport:
         stack.extend((child, level + 1) for child in tree.children_of(above))
     # Stable: a pair's FragileBelowHeavier stays ahead of its MassInversion.
     violations.sort(key=lambda v: (v.below, v.above))
-    return PhysicalConstraintReport(violations=tuple(violations))
+    return tuple(violations)
 
 
 def check_goal(initial: SceneTree, goal: SceneTree) -> None:

@@ -14,8 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import UnknownId
 from .model import ObjectInstance, SceneTree, SpatialTriplet
+from .treetext import format_mass
 
 SURFACE_LABELS = {"table", "desk", "shelf"}
 
@@ -24,7 +24,6 @@ class ViolationKind(Enum):
     CYCLE = "Cycle"
     MULTIPLE_PARENTS = "MultipleParents"
     UNKNOWN_ID = "UnknownId"
-    SELF_SUPPORT = "SelfSupport"
     NO_ROOT = "NoRoot"
 
 
@@ -118,11 +117,6 @@ def build_tree(
     parent: dict[str, str] = {}
     usable: list[SpatialTriplet] = []
     for t in triplets:
-        if t.subject == t.support:
-            violations.append(
-                Violation(ViolationKind.SELF_SUPPORT, f"{t.subject} supports itself")
-            )
-            continue
         missing = [x for x in (t.subject, t.support) if x not in by_id]
         if missing:
             violations.append(
@@ -154,15 +148,14 @@ def build_tree(
     if violations:
         return BuildReport(tree=None, violations=tuple(violations))
 
+    # Every edge now joins declared ids, each object has one parent, no
+    # cycle exists and the root is no subject, so once every other object
+    # has a parent the tree is valid: validate_tree would find nothing.
     assert root is not None
     for obj_id in by_id:
         if obj_id != root and obj_id not in parent:
             parent[obj_id] = root
-    tree = SceneTree(root=root, nodes=dict(by_id), parent=parent)
-    leftovers = validate_tree(tree)
-    if leftovers:
-        return BuildReport(tree=None, violations=tuple(leftovers))
-    return BuildReport(tree=tree)
+    return BuildReport(tree=SceneTree(root=root, nodes=dict(by_id), parent=parent))
 
 
 def validate_tree(tree: SceneTree) -> list[Violation]:
@@ -215,28 +208,8 @@ def validate_tree(tree: SceneTree) -> list[Violation]:
     return violations
 
 
-def depth(tree: SceneTree, node_id: str) -> int:
-    """Number of support edges between the root and `node_id`."""
-    if node_id not in tree.nodes:
-        raise UnknownId(f"{node_id!r} not in tree")
-    count = 0
-    cur = node_id
-    while cur != tree.root:
-        cur = tree.parent[cur]
-        count += 1
-    return count
-
-
-def clear_objects(tree: SceneTree) -> set[str]:
-    """Non-root objects with nothing on top of them (the pickable set)."""
-    supports = set(tree.parent.values())
-    return {n for n in tree.nodes if n != tree.root and n not in supports}
-
-
 def to_dot(tree: SceneTree) -> str:
     """Deterministic DOT rendering (parent -> child) for figure export."""
-    from .treetext import format_mass  # local import to avoid a cycle
-
     lines = ["digraph scene {", "  rankdir=BT;"]
     for node_id in sorted(tree.nodes):
         attrs = tree.nodes[node_id].attributes

@@ -1,16 +1,21 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import strategies as st
 
+from scene_forest.errors import UnknownId
 from scene_forest.model import (
     AttributeSet,
     FRAGILITY_LEVELS,
     MATERIALS,
+    MoveAction,
     ObjectInstance,
+    Plan,
     SceneTree,
     TRANSPARENCY_LEVELS,
 )
+from scene_forest.planner import _check_pair
 
 TABLE_ATTRS = AttributeSet(
     fragility="low", mass_grams=12000, material="wood", transparency="opaque"
@@ -89,6 +94,79 @@ def random_parent_map(rng: random.Random, tree: SceneTree) -> SceneTree:
         parent[obj_id] = rng.choice(placed)
         placed.append(obj_id)
     return SceneTree(root=tree.root, nodes=tree.nodes, parent=parent)
+
+
+def depth(tree: SceneTree, node_id: str) -> int:
+    """Number of support edges between the root and `node_id`."""
+    if node_id not in tree.nodes:
+        raise UnknownId(f"{node_id!r} not in tree")
+    count = 0
+    cur = node_id
+    while cur != tree.root:
+        cur = tree.parent[cur]
+        count += 1
+    return count
+
+
+def clear_objects(tree: SceneTree) -> set[str]:
+    """Non-root objects with nothing on top of them (the pickable set)."""
+    supports = set(tree.parent.values())
+    return {n for n in tree.nodes if n != tree.root and n not in supports}
+
+
+class SearchBudgetExceeded(Exception):
+    pass
+
+
+def _state_key(parent: dict[str, str]) -> tuple:
+    return tuple(sorted(parent.items()))
+
+
+def optimal_plan_bfs(
+    initial: SceneTree, goal: SceneTree, node_limit: int = 200_000
+) -> Plan:
+    """Shortest plan via breadth-first search over reachable arrangements.
+
+    Intended as a test oracle for small scenes (≤ 6 movable objects).
+    Ties are broken by lexicographic (object, destination) move ordering.
+    """
+    _check_pair(initial, goal)
+    ids = sorted(initial.nodes)
+    start = _state_key(initial.parent)
+    target = _state_key(goal.parent)
+    if start == target:
+        return Plan(moves=())
+    came_from: dict[tuple, tuple[tuple, MoveAction]] = {}
+    queue = deque([start])
+    seen = {start}
+    while queue:
+        key = queue.popleft()
+        parent = dict(key)
+        supports = set(parent.values())
+        clear = [n for n in ids if n != initial.root and n not in supports]
+        for obj in clear:
+            for dest in ids:
+                if dest == obj or parent[obj] == dest:
+                    continue
+                nxt = dict(parent)
+                nxt[obj] = dest
+                nkey = _state_key(nxt)
+                if nkey in seen:
+                    continue
+                seen.add(nkey)
+                if len(seen) > node_limit:
+                    raise SearchBudgetExceeded(f"exceeded {node_limit} states")
+                came_from[nkey] = (key, MoveAction(object=obj, destination=dest))
+                if nkey == target:
+                    moves: list[MoveAction] = []
+                    cur = nkey
+                    while cur != start:
+                        cur, move = came_from[cur]
+                        moves.append(move)
+                    moves.reverse()
+                    return Plan(moves=tuple(moves))
+                queue.append(nkey)
+    raise SearchBudgetExceeded("goal unreachable within explored states")
 
 
 @pytest.fixture

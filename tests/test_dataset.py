@@ -234,7 +234,7 @@ class TestGenerator:
 
     def test_max_stack_height_respected(self):
         config = GeneratorConfig(seed=3, object_count_range=(6, 8), max_stack_height=2)
-        from scene_forest.treebuild import depth
+        from conftest import depth
 
         for i in range(30):
             record = generate_synthetic_scene(config, i)

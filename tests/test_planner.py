@@ -8,32 +8,28 @@ from scene_forest.errors import (
     IdMismatch,
     PickNotClear,
     RootMismatch,
-    SearchBudgetExceeded,
     SelfMove,
     UnknownId,
 )
 from scene_forest.model import MoveAction, Plan, SceneTree
-from scene_forest.planner import (
-    PlanTrace,
-    apply_move,
-    diff_trees,
-    execute_plan,
-    optimal_plan_bfs,
-    plan_moves,
-)
+from scene_forest.planner import PlanTrace, diff_trees, execute_plan, plan_moves
 from scene_forest.reorganize import (
     rule_group_by_material,
     rule_stack_all,
     rule_stack_object,
     rule_unstack_all,
 )
-from scene_forest.treebuild import clear_objects, depth, validate_tree
+from scene_forest.treebuild import validate_tree
 
 from conftest import (
+    SearchBudgetExceeded,
     arrangements,
     chain_tree,
+    clear_objects,
+    depth,
     make_object,
     make_table,
+    optimal_plan_bfs,
     random_parent_map,
     random_tree,
     scene_trees,
@@ -42,6 +38,27 @@ from conftest import (
 
 def rearranged(tree, parent):
     return SceneTree(root=tree.root, nodes=tree.nodes, parent=parent)
+
+
+def apply_move(tree: SceneTree, move: MoveAction) -> SceneTree:
+    """One move on an immutable tree, with execute_plan's errors and messages.
+
+    Written apart from execute_plan, which keeps counts over a private
+    mutable state, so that the replay property compares two implementations.
+    No-op moves are legal.
+    """
+    if move.object not in tree.nodes:
+        raise UnknownId(f"unknown object {move.object!r}")
+    if move.destination not in tree.nodes:
+        raise UnknownId(f"unknown destination {move.destination!r}")
+    if move.object == move.destination:
+        raise SelfMove(f"{move.object} onto itself")
+    if move.object == tree.root:
+        raise PickNotClear(f"root {move.object} cannot be picked")
+    carried = tree.children_of(move.object)
+    if carried:
+        raise PickNotClear(f"{move.object} carries {', '.join(carried)}")
+    return rearranged(tree, {**tree.parent, move.object: move.destination})
 
 
 class TestDiffTrees:

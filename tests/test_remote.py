@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from scene_forest.errors import BackendError, InvalidGoal
-from scene_forest.model import TaskKind, TaskSpec
+from scene_forest.model import SceneTree, TaskKind, TaskSpec
 from scene_forest.remote import API_KEY_ENV, build_messages, request_goal_tree
 from scene_forest.reorganize import Backend, BackendConfig, reorganize
 from scene_forest.treetext import serialize_tree
@@ -108,8 +108,7 @@ def config_for(server, retries=1):
 
 def goal_block(tree):
     reversed_parent = {"cup_1": "table_1", "book_1": "cup_1"}
-    goal = tree.with_parent("cup_1", "table_1").with_parent("book_1", "cup_1")
-    assert goal.parent == reversed_parent
+    goal = SceneTree(root=tree.root, nodes=tree.nodes, parent=reversed_parent)
     return serialize_tree(goal)
 
 
@@ -214,6 +213,28 @@ def test_http_error_then_valid_reply_recovers(tree, task):
     server = StubChatServer([(500, ""), (200, goal_block(tree))])
     try:
         goal = request_goal_tree(tree, task, config_for(server, retries=1))
+    finally:
+        server.close()
+    assert goal.parent == {"cup_1": "table_1", "book_1": "cup_1"}
+    assert len(server.requests) == 2
+
+
+@pytest.mark.parametrize("status", [401, 404])
+def test_status_that_cannot_improve_is_not_retried(tree, task, status):
+    server = StubChatServer([(status, "")])
+    try:
+        with pytest.raises(BackendError, match=f"HTTP {status} .*not retried"):
+            request_goal_tree(tree, task, config_for(server, retries=2))
+    finally:
+        server.close()
+    assert len(server.requests) == 1
+
+
+@pytest.mark.parametrize("status", [429, 503])
+def test_transient_status_then_valid_reply_recovers(tree, task, status):
+    server = StubChatServer([(status, ""), (200, goal_block(tree))])
+    try:
+        goal = request_goal_tree(tree, task, config_for(server, retries=2))
     finally:
         server.close()
     assert goal.parent == {"cup_1": "table_1", "book_1": "cup_1"}

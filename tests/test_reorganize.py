@@ -270,8 +270,8 @@ class TestPhysicalConstraints:
             nodes={o.id: o for o in (table, glass, book)},
             parent={"glass_1": "table_1", "book_1": "glass_1"},
         )
-        report = check_physical_constraints(tree)
-        assert [(v.kind, v.below, v.above) for v in report.violations] == [
+        violations = check_physical_constraints(tree)
+        assert [(v.kind, v.below, v.above) for v in violations] == [
             ("FragileBelowHeavier", "glass_1", "book_1")
         ]
 
@@ -286,8 +286,8 @@ class TestPhysicalConstraints:
             },
             parent=dict(tree.parent),
         )
-        report = check_physical_constraints(heavy_top)
-        assert [(v.kind, v.below, v.above) for v in report.violations] == [
+        violations = check_physical_constraints(heavy_top)
+        assert [(v.kind, v.below, v.above) for v in violations] == [
             ("MassInversion", "a_1", "b_1")
         ]
 
@@ -301,14 +301,14 @@ class TestPhysicalConstraints:
             },
             parent={"a_1": "table_1", "b_1": "a_1"},
         )
-        assert check_physical_constraints(tree).ok
+        assert check_physical_constraints(tree) == ()
 
     def test_uniform_stack_clean(self):
         tree = flat_tree(
             make_object("a_1", mass=300), make_object("b_1", mass=200),
             make_object("c_1", mass=100),
         )
-        assert check_physical_constraints(rule_stack_all(tree)).ok
+        assert check_physical_constraints(rule_stack_all(tree)) == ()
 
     def test_stack_all_always_clean_exhaustive(self):
         # Independent oracle: enumerate all ancestor pairs on random trees.
@@ -316,8 +316,8 @@ class TestPhysicalConstraints:
         for _ in range(200):
             tree = random_tree(rng, rng.randint(1, 6))
             stacked = rule_stack_all(tree)
-            report = check_physical_constraints(stacked)
-            assert report.ok, report.violations
+            violations = check_physical_constraints(stacked)
+            assert violations == (), violations
 
 
 def _reference_is_descendant(tree, node, ancestor):
@@ -352,8 +352,7 @@ def reference_physical_violations(tree):
 @settings(max_examples=300, deadline=None)
 @given(scene_trees())
 def test_physical_violations_match_all_pairs_scan(tree):
-    report = check_physical_constraints(tree)
-    got = [(v.kind, v.below, v.above) for v in report.violations]
+    got = [(v.kind, v.below, v.above) for v in check_physical_constraints(tree)]
     assert got == reference_physical_violations(tree)
 
 

@@ -13,13 +13,18 @@ from scene_forest.treebuild import (
     ViolationKind,
     _infer_root,
     build_tree,
-    clear_objects,
-    depth,
     to_dot,
     validate_tree,
 )
 
-from conftest import chain_tree, make_object, make_table, random_tree
+from conftest import (
+    chain_tree,
+    clear_objects,
+    depth,
+    make_object,
+    make_table,
+    random_tree,
+)
 
 
 def on(subject, support):
@@ -229,7 +234,8 @@ def test_to_dot_deterministic_and_complete():
 
 # References: the per-start BFS and the per-node chain walk that the one-pass
 # chain walk replaced, kept verbatim. reference_build_tree differs from
-# build_tree only in calling them.
+# build_tree only in calling them and in validating the tree it builds, a
+# pass that build_tree leaves out because it cannot fail.
 
 def reference_detect_cycle(triplets):
     edges = {}
@@ -280,11 +286,6 @@ def reference_build_tree(triplets, objects):
     parent = {}
     usable = []
     for t in triplets:
-        if t.subject == t.support:
-            violations.append(
-                Violation(ViolationKind.SELF_SUPPORT, f"{t.subject} supports itself")
-            )
-            continue
         missing = [x for x in (t.subject, t.support) if x not in by_id]
         if missing:
             violations.append(
@@ -410,7 +411,10 @@ def test_build_tree_matches_reference(edges, dropped, repeated):
     triplets = [on(a, b) for a, b in edges if a != b]
     declared = [i for i in _POOL if i not in dropped] + repeated
     objects = [make_table() if i == "table_1" else make_object(i) for i in declared]
-    assert build_tree(triplets, objects) == reference_build_tree(triplets, objects)
+    report = build_tree(triplets, objects)
+    assert report == reference_build_tree(triplets, objects)
+    if report.success:
+        assert validate_tree(report.tree) == []
 
 
 @settings(max_examples=500, deadline=None)
