@@ -75,10 +75,12 @@ def _scene_triplets(record: SceneRecord):
 
 def cmd_parse(args) -> int:
     record = dataset_mod.load_scene_record(args.scene)
-    for t in _scene_triplets(record):
-        print(json.dumps(
-            {"subject": t.subject, "predicate": t.predicate.value, "support": t.support}
-        ))
+    # json.dumps's layout, unescaped: ids match model._ID_RE, predicates are fixed tokens.
+    sys.stdout.write("".join([
+        f'{{"subject": "{t.subject}", "predicate": "{t.predicate.value}", '
+        f'"support": "{t.support}"}}\n'
+        for t in _scene_triplets(record)
+    ]))
     return EXIT_OK
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import insort
+from collections import Counter
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,11 +29,6 @@ from .model import (
 )
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SchemaError(message)
-
-
 def record_from_dict(data: dict) -> SceneRecord:
     """Build a SceneRecord from parsed JSON; any malformed part raises SchemaError."""
     try:
@@ -41,64 +38,95 @@ def record_from_dict(data: dict) -> SceneRecord:
 
 
 def _record_from_dict(data: dict) -> SceneRecord:
-    _require(isinstance(data, dict), "record must be a JSON object")
+    # Checks run in a fixed order and the first failure names the record's
+    # fault; messages are formatted only on failure.
+    if not isinstance(data, dict):
+        raise SchemaError("record must be a JSON object")
     for key in ("scene_id", "objects", "captions"):
-        _require(key in data, f"missing field {key!r}")
-    _require(isinstance(data["scene_id"], str), "scene_id must be a string")
-    _require(isinstance(data["objects"], list), "objects must be a list")
-    _require(isinstance(data["captions"], list), "captions must be a list")
+        if key not in data:
+            raise SchemaError(f"missing field {key!r}")
+    scene_id = data["scene_id"]
+    raw_objects = data["objects"]
+    raw_captions = data["captions"]
+    if not isinstance(scene_id, str):
+        raise SchemaError("scene_id must be a string")
+    if not isinstance(raw_objects, list):
+        raise SchemaError("objects must be a list")
+    if not isinstance(raw_captions, list):
+        raise SchemaError("captions must be a list")
 
     objects = []
     seen_ids = set()
-    for entry in data["objects"]:
-        _require(isinstance(entry, dict), "object entry must be a JSON object")
-        for key in ("id", "label", "fragility", "mass_grams", "material", "transparency"):
-            _require(key in entry, f"object entry missing field {key!r}")
-        _require(isinstance(entry["id"], str), "object id must be a string")
-        _require(isinstance(entry["label"], str), "object label must be a string")
-        _require(entry["id"] not in seen_ids, f"duplicate object id {entry['id']!r}")
-        seen_ids.add(entry["id"])
-        if not isinstance(entry["mass_grams"], (int, float)) or isinstance(
-            entry["mass_grams"], bool
-        ):
+    for entry in raw_objects:
+        if not isinstance(entry, dict):
+            raise SchemaError("object entry must be a JSON object")
+        try:  # looked up in the order the fields are checked
+            obj_id = entry["id"]
+            label = entry["label"]
+            fragility = entry["fragility"]
+            mass = entry["mass_grams"]
+            material = entry["material"]
+            transparency = entry["transparency"]
+        except KeyError as exc:
+            raise SchemaError(f"object entry missing field {exc.args[0]!r}") from None
+        if not isinstance(obj_id, str):
+            raise SchemaError("object id must be a string")
+        if not isinstance(label, str):
+            raise SchemaError("object label must be a string")
+        if obj_id in seen_ids:
+            raise SchemaError(f"duplicate object id {obj_id!r}")
+        seen_ids.add(obj_id)
+        if not isinstance(mass, (int, float)) or isinstance(mass, bool):
             raise SchemaError("mass_grams must be a number")
         attributes = AttributeSet(
-            fragility=entry["fragility"],
-            mass_grams=entry["mass_grams"],
-            material=entry["material"],
-            transparency=entry["transparency"],
+            fragility=fragility,
+            mass_grams=mass,
+            material=material,
+            transparency=transparency,
         )
-        objects.append(
-            ObjectInstance(id=entry["id"], label=entry["label"], attributes=attributes)
-        )
+        objects.append(ObjectInstance(id=obj_id, label=label, attributes=attributes))
 
-    captions = []
-    for caption in data["captions"]:
-        _require(isinstance(caption, str), "caption must be a string")
-        captions.append(caption)
+    for caption in raw_captions:
+        if not isinstance(caption, str):
+            raise SchemaError("caption must be a string")
 
     triplets = None
-    if "triplets" in data and data["triplets"] is not None:
-        _require(isinstance(data["triplets"], list), "triplets must be a list")
+    raw_triplets = data.get("triplets")
+    if raw_triplets is not None:
+        if not isinstance(raw_triplets, list):
+            raise SchemaError("triplets must be a list")
         parsed = []
-        for entry in data["triplets"]:
-            _require(isinstance(entry, dict), "triplet entry must be a JSON object")
-            for key in ("subject", "predicate", "support"):
-                _require(key in entry, f"triplet entry missing field {key!r}")
-                _require(isinstance(entry[key], str), f"triplet {key} must be a string")
+        for entry in raw_triplets:
+            if not isinstance(entry, dict):
+                raise SchemaError("triplet entry must be a JSON object")
+            if "subject" not in entry:
+                raise SchemaError("triplet entry missing field 'subject'")
+            subject = entry["subject"]
+            if not isinstance(subject, str):
+                raise SchemaError("triplet subject must be a string")
+            if "predicate" not in entry:
+                raise SchemaError("triplet entry missing field 'predicate'")
+            predicate = entry["predicate"]
+            if not isinstance(predicate, str):
+                raise SchemaError("triplet predicate must be a string")
+            if "support" not in entry:
+                raise SchemaError("triplet entry missing field 'support'")
+            support = entry["support"]
+            if not isinstance(support, str):
+                raise SchemaError("triplet support must be a string")
             parsed.append(
                 SpatialTriplet(
-                    subject=entry["subject"],
-                    predicate=SpatialPredicate.from_token(entry["predicate"]),
-                    support=entry["support"],
+                    subject=subject,
+                    predicate=SpatialPredicate.from_token(predicate),
+                    support=support,
                 )
             )
         triplets = tuple(parsed)
 
     return SceneRecord(
-        scene_id=data["scene_id"],
+        scene_id=scene_id,
         objects=tuple(objects),
-        captions=tuple(captions),
+        captions=tuple(raw_captions),
         triplets=triplets,
     )
 
@@ -152,35 +180,31 @@ def save_scene_record(record: SceneRecord, path: str | Path) -> None:
 
 # --- caption rendering -------------------------------------------------------
 
-def _display_name(tree_nodes: dict[str, ObjectInstance], node_id: str) -> str:
+def _display_names(nodes: dict[str, ObjectInstance]) -> dict[str, str]:
     # Labels are rendered when unique within the scene; otherwise the id
     # itself disambiguates (and resolves back through the parser).
-    label = tree_nodes[node_id].label
-    shared = sum(1 for o in tree_nodes.values() if o.label == label)
-    return label if shared == 1 else node_id
+    counts = Counter(o.label for o in nodes.values())
+    return {
+        node_id: o.label if counts[o.label] == 1 else node_id
+        for node_id, o in nodes.items()
+    }
 
 
-def render_triplet_sentence(
-    triplet: SpatialTriplet, nodes: dict[str, ObjectInstance]
+def _sentence(
+    subject: str, predicate: SpatialPredicate, support: str, names: dict[str, str]
 ) -> str:
-    relation = "on top of" if triplet.predicate is SpatialPredicate.ON_TOP_OF else "on"
-    subject = _display_name(nodes, triplet.subject)
-    support = _display_name(nodes, triplet.support)
-    return f"The {subject} is {relation} the {support}."
+    relation = "on top of" if predicate is SpatialPredicate.ON_TOP_OF else "on"
+    return f"The {names[subject]} is {relation} the {names[support]}."
 
 
 def render_caption(tree: SceneTree) -> str:
     """One 'on top of' sentence per support edge, in pre-order."""
-    sentences = []
-    for node_id in tree.preorder():
-        if node_id == tree.root:
-            continue
-        triplet = SpatialTriplet(
-            subject=node_id,
-            predicate=SpatialPredicate.ON_TOP_OF,
-            support=tree.parent[node_id],
-        )
-        sentences.append(render_triplet_sentence(triplet, tree.nodes))
+    names = _display_names(tree.nodes)
+    sentences = [
+        _sentence(node_id, SpatialPredicate.ON_TOP_OF, tree.parent[node_id], names)
+        for node_id in tree.preorder()
+        if node_id != tree.root
+    ]
     if not sentences:
         warnings.warn("tree has no support edges; caption is empty", stacklevel=2)
         return ""
@@ -276,20 +300,20 @@ def generate_synthetic_scene(config: GeneratorConfig, index: int) -> SceneRecord
 
     # Random valid forest under the table, bounded by max_stack_height.
     depths = {root.id: 0}
+    supports = [root.id]  # sorted ids of the objects below max_stack_height
     triplets = []
-    nodes = {o.id: o for o in objects}
     for obj in objects[1:]:
-        supports = sorted(
-            n for n, d in depths.items() if d < config.max_stack_height
-        )
         support = supports[rng.randrange(len(supports))]
         depths[obj.id] = depths[support] + 1
+        if depths[obj.id] < config.max_stack_height:
+            insort(supports, obj.id)
         predicate = rng.choice((SpatialPredicate.ON, SpatialPredicate.ON_TOP_OF))
         triplets.append(
             SpatialTriplet(subject=obj.id, predicate=predicate, support=support)
         )
 
-    captions = tuple(render_triplet_sentence(t, nodes) for t in triplets)
+    names = _display_names({o.id: o for o in objects})
+    captions = tuple(_sentence(t.subject, t.predicate, t.support, names) for t in triplets)
     return SceneRecord(
         scene_id=f"scene_{index:04d}",
         objects=tuple(objects),

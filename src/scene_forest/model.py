@@ -18,6 +18,7 @@ TRANSPARENCY_LEVELS = ("opaque", "translucent", "transparent")
 MATERIALS = ("wood", "metal", "glass", "plastic", "ceramic", "paper", "fabric", "other")
 
 _ID_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+_NON_ID_RUN_RE = re.compile(r"[^a-z0-9]+")
 
 
 def fragility_rank(level: str) -> int:
@@ -33,7 +34,7 @@ def canonicalize_id(label: str, ordinal: int) -> str:
     """
     if ordinal < 1:
         raise InvalidLabel(f"ordinal must be positive, got {ordinal}")
-    token = re.sub(r"[^a-z0-9]+", "_", label.strip().lower()).strip("_")
+    token = _NON_ID_RUN_RE.sub("_", label.strip().lower()).strip("_")
     candidate = f"{token}_{ordinal}"
     if not token or not _ID_RE.match(candidate):
         raise InvalidLabel(f"label {label!r} yields no valid id")
@@ -89,10 +90,13 @@ class SpatialPredicate(Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "SpatialPredicate":
-        for member in cls:
-            if member.value == token:
-                return member
-        raise DomainError(f"unknown predicate token {token!r}")
+        try:
+            return _PREDICATE_BY_TOKEN[token]
+        except (KeyError, TypeError):  # TypeError: an unhashable token
+            raise DomainError(f"unknown predicate token {token!r}") from None
+
+
+_PREDICATE_BY_TOKEN = {member.value: member for member in SpatialPredicate}
 
 
 @dataclass(frozen=True)

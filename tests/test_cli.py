@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scene_forest.cli import (
     EXIT_IO,
@@ -12,12 +16,13 @@ from scene_forest.cli import (
     EXIT_PARSE,
     EXIT_SCHEMA,
     EXIT_UNSUPPORTED_TASK,
+    _scene_triplets,
     build_parser,
     main,
 )
 from scene_forest.dataset import GeneratorConfig, generate_synthetic_scene, save_scene_record
 from scene_forest.errors import AmbiguousReference
-from scene_forest.model import TaskKind
+from scene_forest.model import SceneRecord, SpatialPredicate, SpatialTriplet, TaskKind
 from scene_forest.reorganize import parse_task
 
 from conftest import make_object, make_table
@@ -83,6 +88,65 @@ class TestCmdParse:
             "captions": ["The vase is on the table."],
         }))
         assert main(["parse", str(path)]) == EXIT_PARSE
+
+
+@st.composite
+def parse_records(draw) -> SceneRecord:
+    """A record of a random forest on `table_1`, with labels holding digits
+    and underscores, ordinals past the tenth and both predicates; either
+    caption-only or with cached triplets."""
+    labels = draw(st.lists(
+        st.sampled_from(["cup", "box2", "mug_b", "pen"]), min_size=1, max_size=12
+    ))
+    ordinals: dict = {}
+    objects = [make_table()]
+    for label in labels:
+        ordinals[label] = ordinals.get(label, 0) + draw(st.integers(1, 6))
+        objects.append(make_object(f"{label}_{ordinals[label]}", label=label))
+    triplets = []
+    for i, obj in enumerate(objects[1:], start=1):
+        support = objects[draw(st.integers(0, i - 1))].id
+        predicate = draw(st.sampled_from(SpatialPredicate))
+        triplets.append(SpatialTriplet(subject=obj.id, predicate=predicate, support=support))
+    relation = {SpatialPredicate.ON: "on", SpatialPredicate.ON_TOP_OF: "on top of"}
+    captions = tuple(
+        f"The {t.subject} is {relation[t.predicate]} the {t.support}." for t in triplets
+    )
+    cached = draw(st.booleans())
+    return SceneRecord(
+        scene_id="scene_0000",
+        objects=tuple(objects),
+        captions=captions,
+        triplets=tuple(triplets) if cached else None,
+    )
+
+
+def _parse_stdout(record: SceneRecord, directory: str) -> str:
+    path = Path(directory) / "scene.json"
+    save_scene_record(record, path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["parse", str(path)]) == EXIT_OK
+    return out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(record=parse_records())
+def test_parse_output_is_json_dumps_per_triplet(record):
+    with tempfile.TemporaryDirectory() as directory:
+        stdout = _parse_stdout(record, directory)
+    assert stdout == "".join(
+        json.dumps({"subject": t.subject, "predicate": t.predicate.value, "support": t.support})
+        + "\n"
+        for t in _scene_triplets(record)
+    )
+
+
+def test_parse_of_empty_triplet_list_prints_nothing(tmp_path):
+    record = SceneRecord(
+        scene_id="scene_0000", objects=(make_table(),), captions=(), triplets=()
+    )
+    assert _parse_stdout(record, str(tmp_path)) == ""
 
 
 class TestCmdPipeline:

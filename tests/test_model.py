@@ -104,3 +104,11 @@ def test_scene_tree_children_lexicographic():
     tree = SceneTree("table_1", nodes, {"b_1": "table_1", "a_1": "table_1"})
     assert tree.children_of("table_1") == ["a_1", "b_1"]
     assert tree.preorder() == ["table_1", "a_1", "b_1"]
+
+
+def test_predicate_from_token():
+    assert SpatialPredicate.from_token("on") is SpatialPredicate.ON
+    assert SpatialPredicate.from_token("on_top_of") is SpatialPredicate.ON_TOP_OF
+    for token in (["on"], None, "", "ON"):
+        with pytest.raises(DomainError, match="unknown predicate token"):
+            SpatialPredicate.from_token(token)
