@@ -12,11 +12,11 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import captions as caption_mod
 from . import dataset as dataset_mod
+from .dataset import _write_in_place
 from .errors import (
     BackendError,
     CaptionError,
@@ -131,11 +131,11 @@ def run_pipeline_for_scene(
         verified = execute_plan(initial, trace.plan) == goal
         timed("plan")
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "initial.tree.txt").write_text(serialize_tree(initial))
-        (out_dir / "goal.tree.txt").write_text(serialize_tree(goal))
-        (out_dir / "plan.txt").write_text(trace.plan.to_text())
-        (out_dir / "initial.dot").write_text(to_dot(initial))
-        (out_dir / "goal.dot").write_text(to_dot(goal))
+        _write_in_place(out_dir / "initial.tree.txt", serialize_tree(initial))
+        _write_in_place(out_dir / "goal.tree.txt", serialize_tree(goal))
+        _write_in_place(out_dir / "plan.txt", trace.plan.to_text())
+        _write_in_place(out_dir / "initial.dot", to_dot(initial))
+        _write_in_place(out_dir / "goal.dot", to_dot(goal))
         timed("write")
         result = {
             "scene_id": record.scene_id,
@@ -147,7 +147,7 @@ def run_pipeline_for_scene(
             "timings_ms": timings,
             "diagnostics": [],
         }
-        (out_dir / "result.json").write_text(json.dumps(result, indent=2) + "\n")
+        _write_in_place(out_dir / "result.json", json.dumps(result, indent=2) + "\n")
     except Exception as exc:
         return _report(exc, scene)
     if not verified:
@@ -168,6 +168,8 @@ def cmd_pipeline(args) -> int:
             return run_pipeline_for_scene(
                 path, args.task, args.backend, out_root / path.stem
             )
+
+        from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             codes = list(pool.map(run_one, scene_files))

@@ -7,6 +7,7 @@ the cached triplet parse; no images are stored.
 from __future__ import annotations
 
 import json
+import os
 import random
 from bisect import insort
 from collections import Counter
@@ -169,11 +170,26 @@ def load_scene_record(path: str | Path) -> SceneRecord:
     return record_from_dict(data)
 
 
+def _open_untruncated(path: str, flags: int) -> int:
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _write_in_place(path: str | Path, text: str) -> None:
+    """Write `text` to `path` as UTF-8, then cut the file to what was written.
+
+    Unlike `Path.write_text`, this does not open with O_TRUNC: on ext4,
+    truncating a file that holds data makes `close()` start writeback of
+    the new data, a flush on every rewrite. Errors are the same `OSError`
+    subclasses `write_text` raises; no fsync is done.
+    """
+    with open(path, "wb", opener=_open_untruncated) as f:
+        f.write(text.encode("utf-8"))
+        f.truncate()
+
+
 def save_scene_record(record: SceneRecord, path: str | Path) -> None:
     try:
-        Path(path).write_text(
-            json.dumps(record_to_dict(record), indent=2) + "\n", encoding="utf-8"
-        )
+        _write_in_place(path, json.dumps(record_to_dict(record), indent=2) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -6,10 +7,12 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scene_forest import cli as cli_mod
 from scene_forest.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -26,6 +29,11 @@ from scene_forest.model import SceneRecord, SpatialPredicate, SpatialTriplet, Ta
 from scene_forest.reorganize import parse_task
 
 from conftest import make_object, make_table
+
+
+PIPELINE_OUTPUTS = (
+    "initial.tree.txt", "goal.tree.txt", "plan.txt", "initial.dot", "goal.dot", "result.json",
+)
 
 
 @pytest.fixture
@@ -236,6 +244,35 @@ class TestCmdPipeline:
         assert len(lines) == 1
         assert lines[0].startswith("scene_0000: FileExistsError: ")
 
+    def test_rewrite_over_longer_outputs_leaves_no_stale_tail(
+        self, scene_file, tmp_path, monkeypatch
+    ):
+        # Constant stage timings make result.json byte-for-byte repeatable.
+        monkeypatch.setattr(cli_mod, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        argv = ["pipeline", str(scene_file), "--task", "stack all", "--out"]
+        assert main(argv + [str(fresh)]) == EXIT_OK
+        reused.mkdir()
+        for name in PIPELINE_OUTPUTS:
+            (reused / name).write_bytes(b"stale\n" * (fresh / name).stat().st_size)
+        assert main(argv + [str(reused)]) == EXIT_OK
+        assert sorted(p.name for p in reused.iterdir()) == sorted(PIPELINE_OUTPUTS)
+        for name in PIPELINE_OUTPUTS:
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_write_error_is_one_scene_line(self, scene_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["pipeline", str(scene_file), "--task", "stack all", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        (out / "plan.txt").unlink()
+        (out / "plan.txt").mkdir()
+        capsys.readouterr()
+        assert main(argv) == EXIT_IO
+        assert capsys.readouterr().err.splitlines() == [
+            f"scene_0000: IsADirectoryError: [Errno {errno.EISDIR}] "
+            f"{os.strerror(errno.EISDIR)}: '{out / 'plan.txt'}'"
+        ]
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_batch_rejects_nonpositive_jobs(self, tmp_path, capsys, jobs):
         with pytest.raises(SystemExit) as exc:
@@ -264,7 +301,8 @@ class TestParser:
         probe = (
             "import sys, scene_forest.cli as cli; "
             "print(cli.build_parser.cache_info().currsize, "
-            "sorted(m for m in ('scene_forest.remote', 'urllib.request') if m in sys.modules))"
+            "sorted(m for m in ('scene_forest.remote', 'urllib.request', 'concurrent.futures') "
+            "if m in sys.modules))"
         )
         src = Path(__file__).resolve().parent.parent / "src"
         run = subprocess.run(
@@ -285,6 +323,18 @@ class TestCmdGen:
         assert [f.name for f in files_a] == [f.name for f in files_b]
         for fa, fb in zip(files_a, files_b):
             assert fa.read_bytes() == fb.read_bytes()
+
+    def test_rewrite_over_longer_records_leaves_no_stale_tail(self, tmp_path):
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        argv = ["gen", "--seed", "3", "--count", "4", "--out"]
+        assert main(argv + [str(fresh)]) == EXIT_OK
+        reused.mkdir()
+        for path in fresh.iterdir():
+            (reused / path.name).write_bytes(b"{}\n" * path.stat().st_size)
+        assert main(argv + [str(reused)]) == EXIT_OK
+        assert sorted(p.name for p in reused.iterdir()) == sorted(p.name for p in fresh.iterdir())
+        for path in fresh.iterdir():
+            assert (reused / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_zero_count(self, tmp_path):
         out = tmp_path / "empty"
