@@ -51,7 +51,8 @@ _EXIT_CODES = (
 
 
 def _err(message: str) -> None:
-    print(message, file=sys.stderr)
+    # One write per line, so lines from the batch's writer threads never interleave.
+    sys.stderr.write(f"{message}\n")
 
 
 def _report(exc: Exception, scene: str | None = None) -> int:
@@ -97,12 +98,16 @@ def _backend_config(backend_name: str) -> BackendConfig:
 
 
 def run_pipeline_for_scene(
-    scene_path: Path, task_text: str, backend_name: str, out_dir: Path
+    scene_path: Path, task_text: str, backend_name: str, out_dir: Path, hand_off=None
 ) -> int:
     """Run one scene end to end and return its exit code.
 
-    Every failure, expected or not, becomes stderr lines prefixed with the
-    scene file's stem, so one bad scene never aborts a batch.
+    The compute step (load, build, reorganize, plan, replay and rendering
+    of the output texts) runs here; the write step runs inline, or, when
+    `hand_off` is given, is passed to it as a no-argument callable that
+    returns the scene's exit code, and this call returns EXIT_OK. Every
+    failure, expected or not, becomes stderr lines prefixed with the scene
+    file's stem, so one bad scene never aborts a batch.
     """
     scene = Path(scene_path).stem
     timings: dict[str, float] = {}
@@ -130,13 +135,14 @@ def run_pipeline_for_scene(
         trace = plan_moves(initial, goal)
         verified = execute_plan(initial, trace.plan) == goal
         timed("plan")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_in_place(out_dir / "initial.tree.txt", serialize_tree(initial))
-        _write_in_place(out_dir / "goal.tree.txt", serialize_tree(goal))
-        _write_in_place(out_dir / "plan.txt", trace.plan.to_text())
-        _write_in_place(out_dir / "initial.dot", to_dot(initial))
-        _write_in_place(out_dir / "goal.dot", to_dot(goal))
-        timed("write")
+        texts = {
+            "initial.tree.txt": serialize_tree(initial),
+            "goal.tree.txt": serialize_tree(goal),
+            "plan.txt": trace.plan.to_text(),
+            "initial.dot": to_dot(initial),
+            "goal.dot": to_dot(goal),
+        }
+        timed("write")  # the rendering share; the write step adds its own time
         result = {
             "scene_id": record.scene_id,
             "task": task_text,
@@ -147,36 +153,75 @@ def run_pipeline_for_scene(
             "timings_ms": timings,
             "diagnostics": [],
         }
+    except Exception as exc:
+        return _report(exc, scene)
+    job = functools.partial(_write_scene, scene, out_dir, texts, result)
+    if hand_off is None:
+        return job()
+    hand_off(job)
+    return EXIT_OK
+
+
+def _write_scene(scene: str, out_dir: Path, texts: dict[str, str], result: dict) -> int:
+    """The write step of one scene: create `out_dir`, write `texts` and
+    `result.json`, and return the scene's exit code.
+
+    Its time is added to the `write` timing when it starts, so a step that
+    waited in a queue reports only its own work.
+    """
+    start = time.perf_counter()
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            _write_in_place(out_dir / name, text)
+        result["timings_ms"]["write"] += (time.perf_counter() - start) * 1000.0
         _write_in_place(out_dir / "result.json", json.dumps(result, indent=2) + "\n")
     except Exception as exc:
         return _report(exc, scene)
-    if not verified:
+    if not result["verified"]:
         _err(f"{scene}: plan execution did not reach the goal tree")
         return EXIT_FAIL
     return EXIT_OK
 
 
+# Write steps a batch may have submitted but not finished, per `--jobs` thread.
+# The cap bounds the rendered texts held in memory.
+_BACKLOG_PER_JOB = 4
+
+
 def cmd_pipeline(args) -> int:
     out_root = Path(args.out)
-    if args.batch:
-        scene_files = sorted(Path(args.batch).glob("*.json"))
-        if not scene_files:
-            _err(f"no scene files in {args.batch}")
-            return EXIT_IO
+    if not args.batch:
+        return run_pipeline_for_scene(Path(args.scene), args.task, args.backend, out_root)
+    scene_files = sorted(Path(args.batch).glob("*.json"))
+    if not scene_files:
+        _err(f"no scene files in {args.batch}")
+        return EXIT_IO
 
-        def run_one(path: Path) -> int:
-            return run_pipeline_for_scene(
-                path, args.task, args.backend, out_root / path.stem
+    # Scenes are computed in order on this thread; the `--jobs` threads only
+    # create and write files, the kernel work that overlaps with computing.
+    from collections import deque
+    from concurrent.futures import ThreadPoolExecutor
+
+    codes: list[int] = []
+    pending: deque = deque()
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+
+        def hand_off(job) -> None:
+            if len(pending) >= _BACKLOG_PER_JOB * args.jobs:
+                codes.append(pending.popleft().result())
+            pending.append(pool.submit(job))
+
+        for path in scene_files:
+            code = run_pipeline_for_scene(
+                path, args.task, args.backend, out_root / path.stem, hand_off
             )
-
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(pool.map(run_one, scene_files))
-        failed = sum(1 for c in codes if c != EXIT_OK)
-        _err(f"processed {len(codes)} scenes, {failed} failed")
-        return EXIT_OK if failed == 0 else max(codes)
-    return run_pipeline_for_scene(Path(args.scene), args.task, args.backend, out_root)
+            if code != EXIT_OK:
+                codes.append(code)
+        codes.extend(future.result() for future in pending)
+    failed = sum(1 for c in codes if c != EXIT_OK)
+    _err(f"processed {len(scene_files)} scenes, {failed} failed")
+    return max(codes, default=EXIT_OK)
 
 
 def cmd_gen(args) -> int:
@@ -222,7 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--backend", choices=("rule", "remote"), default="rule")
     p_pipe.add_argument("--out", required=True, help="output directory")
     p_pipe.add_argument("--batch", help="process every scene file in this directory")
-    p_pipe.add_argument("--jobs", type=_positive_int, default=4, help="batch worker count")
+    p_pipe.add_argument(
+        "--jobs", type=_positive_int, default=2, help="batch threads that write output files"
+    )
     p_pipe.set_defaults(func=cmd_pipeline)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic dataset")

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scene_forest import cli as cli_mod
+from scene_forest import dataset as dataset_mod
 from scene_forest.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -284,6 +287,86 @@ class TestCmdPipeline:
         err = capsys.readouterr().err
         assert err.startswith("usage:")
         assert "--jobs" in err
+
+    @pytest.mark.parametrize("jobs", [["--jobs", "1"], []])
+    def test_batch_with_mixed_failures_matches_single_scene_runs(
+        self, tmp_path, monkeypatch, capsys, jobs
+    ):
+        # Constant stage timings make result.json byte-for-byte repeatable.
+        monkeypatch.setattr(cli_mod, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        data, out, single = tmp_path / "ds", tmp_path / "out", tmp_path / "single"
+        assert main(["gen", "--seed", "1", "--count", "20", "--out", str(data)]) == EXIT_OK
+        bad = data / "scene_0004.json"
+        record = json.loads(bad.read_text())
+        record["objects"][1]["fragility"] = "brittle"
+        bad.write_text(json.dumps(record))
+        out.mkdir()
+        (out / "scene_0011").write_text("")  # the write step cannot create this scene's directory
+        capsys.readouterr()
+        assert main([
+            "pipeline", "--batch", str(data), "--task", "stack all", "--out", str(out), *jobs
+        ]) == EXIT_SCHEMA
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1] == "processed 20 scenes, 2 failed"
+        assert len(lines) == 3
+        assert sum(line.startswith("scene_0004: SchemaError: ") for line in lines) == 1
+        assert sum(line.startswith("scene_0011: FileExistsError: ") for line in lines) == 1
+        for path in sorted(data.glob("*.json")):
+            if path.stem in ("scene_0004", "scene_0011"):
+                continue
+            argv = ["pipeline", str(path), "--task", "stack all", "--out", str(single / path.stem)]
+            assert main(argv) == EXIT_OK
+            for name in PIPELINE_OUTPUTS:
+                assert (out / path.stem / name).read_bytes() == (
+                    single / path.stem / name
+                ).read_bytes(), (path.stem, name)
+
+    def test_batch_backlog_is_bounded(self, tmp_path, monkeypatch):
+        data = tmp_path / "ds"
+        assert main(["gen", "--seed", "1", "--count", "40", "--out", str(data)]) == EXIT_OK
+        release = threading.Event()
+        write, load = cli_mod._write_in_place, dataset_mod.load_scene_record
+        loads = []
+
+        def blocked_write(path, text):
+            release.wait()
+            write(path, text)
+
+        def counted_load(path):
+            loads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(cli_mod, "_write_in_place", blocked_write)
+        monkeypatch.setattr(dataset_mod, "load_scene_record", counted_load)
+        jobs = 2
+        codes = []
+        batch = threading.Thread(target=lambda: codes.append(main([
+            "pipeline", "--batch", str(data), "--task", "stack all",
+            "--out", str(tmp_path / "out"), "--jobs", str(jobs),
+        ])))
+        batch.start()
+        try:
+            seen, deadline = -1, time.monotonic() + 20
+            while len(loads) != seen and time.monotonic() < deadline:
+                seen = len(loads)
+                time.sleep(0.3)
+            assert 0 < len(loads) <= cli_mod._BACKLOG_PER_JOB * jobs + jobs + 1
+        finally:
+            release.set()
+            batch.join(timeout=60)
+        assert not batch.is_alive()
+        assert codes == [EXIT_OK]
+        assert len(loads) == 40
+
+    def test_batch_and_single_scene_time_the_same_stages(self, scene_file, tmp_path):
+        out = tmp_path / "out"
+        argv = ["pipeline", "--task", "stack all", "--out"]
+        assert main(argv + [str(out / "single"), str(scene_file)]) == EXIT_OK
+        assert main(argv + [str(out), "--batch", str(scene_file.parent)]) == EXIT_OK
+        for result in (out / "single" / "result.json", out / "scene_0000" / "result.json"):
+            timings = json.loads(result.read_text())["timings_ms"]
+            assert list(timings) == ["load", "parse", "reorganize", "plan", "write"]
+            assert all(ms >= 0.0 for ms in timings.values())
 
 
 class TestParser:
