@@ -184,8 +184,13 @@ def _write_scene(scene: str, out_dir: Path, texts: dict[str, str], result: dict)
     return EXIT_OK
 
 
-# Write steps a batch may have submitted but not finished, per `--jobs` thread.
-# The cap bounds the rendered texts held in memory.
+# `--jobs` when it is not given. A rule batch's threads only create and write
+# files, and two beat one on a fresh `--out` and four on a rewritten one; a
+# remote batch's threads run whole scenes, overlapping their HTTP round trips.
+_DEFAULT_JOBS = {"rule": 2, "remote": 4}
+
+# Write steps a rule batch may have submitted but not finished, per `--jobs`
+# thread. The cap bounds the rendered texts held in memory.
 _BACKLOG_PER_JOB = 4
 
 
@@ -198,30 +203,49 @@ def cmd_pipeline(args) -> int:
         _err(f"no scene files in {args.batch}")
         return EXIT_IO
 
-    # Scenes are computed in order on this thread; the `--jobs` threads only
-    # create and write files, the kernel work that overlaps with computing.
-    from collections import deque
     from concurrent.futures import ThreadPoolExecutor
 
-    codes: list[int] = []
-    pending: deque = deque()
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-
-        def hand_off(job) -> None:
-            if len(pending) >= _BACKLOG_PER_JOB * args.jobs:
-                codes.append(pending.popleft().result())
-            pending.append(pool.submit(job))
-
-        for path in scene_files:
-            code = run_pipeline_for_scene(
-                path, args.task, args.backend, out_root / path.stem, hand_off
-            )
-            if code != EXIT_OK:
-                codes.append(code)
-        codes.extend(future.result() for future in pending)
+    jobs = args.jobs or _DEFAULT_JOBS[args.backend]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        if args.backend == "remote":
+            codes = list(pool.map(
+                lambda path: run_pipeline_for_scene(
+                    path, args.task, args.backend, out_root / path.stem
+                ),
+                scene_files,
+            ))
+        else:
+            codes = _compute_then_write(pool, jobs, scene_files, args.task, out_root)
     failed = sum(1 for c in codes if c != EXIT_OK)
     _err(f"processed {len(scene_files)} scenes, {failed} failed")
     return max(codes, default=EXIT_OK)
+
+
+def _compute_then_write(
+    pool, jobs: int, scene_files: list[Path], task_text: str, out_root: Path
+) -> list[int]:
+    """Compute a rule batch's scenes in order on this thread and hand each
+    write step to `pool`, the kernel work that overlaps with computing.
+
+    Returns the codes of the scenes that failed to compute and of every
+    write step.
+    """
+    from collections import deque
+
+    codes: list[int] = []
+    pending: deque = deque()
+
+    def hand_off(job) -> None:
+        if len(pending) >= _BACKLOG_PER_JOB * jobs:
+            codes.append(pending.popleft().result())
+        pending.append(pool.submit(job))
+
+    for path in scene_files:
+        code = run_pipeline_for_scene(path, task_text, "rule", out_root / path.stem, hand_off)
+        if code != EXIT_OK:
+            codes.append(code)
+    codes.extend(future.result() for future in pending)
+    return codes
 
 
 def cmd_gen(args) -> int:
@@ -268,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--out", required=True, help="output directory")
     p_pipe.add_argument("--batch", help="process every scene file in this directory")
     p_pipe.add_argument(
-        "--jobs", type=_positive_int, default=2, help="batch threads that write output files"
+        "--jobs", type=_positive_int,
+        help="batch threads: file writers, default 2; whole-scene workers with "
+        "--backend remote, default 4",
     )
     p_pipe.set_defaults(func=cmd_pipeline)
 

@@ -29,7 +29,7 @@ from scene_forest.cli import (
 from scene_forest.dataset import GeneratorConfig, generate_synthetic_scene, save_scene_record
 from scene_forest.errors import AmbiguousReference
 from scene_forest.model import SceneRecord, SpatialPredicate, SpatialTriplet, TaskKind
-from scene_forest.reorganize import parse_task
+from scene_forest.reorganize import Backend, BackendConfig, parse_task, reorganize
 
 from conftest import make_object, make_table
 
@@ -173,7 +173,7 @@ class TestCmdPipeline:
                    for line in body)
         result = json.loads((out / "result.json").read_text())
         assert result["verified"] is True
-        assert set(result["timings_ms"]) >= {"load", "parse", "reorganize", "plan"}
+        assert list(result["timings_ms"]) == ["load", "parse", "reorganize", "plan", "write"]
         for name in ("initial.tree.txt", "plan.txt", "initial.dot", "goal.dot"):
             assert (out / name).exists()
 
@@ -213,29 +213,50 @@ class TestCmdPipeline:
             "pipeline", "--batch", str(data), "--task", "stack all",
             "--out", str(out),
         ]) == EXIT_OK
-        assert len(list(out.glob("*/result.json"))) == 5
+        results = sorted(out.glob("*/result.json"))
+        assert len(results) == 5
+        for result in results:
+            timings = json.loads(result.read_text())["timings_ms"]
+            assert list(timings) == ["load", "parse", "reorganize", "plan", "write"]
 
-    def test_batch_runs_past_malformed_record(self, tmp_path, capsys):
-        data = tmp_path / "ds"
-        assert main(["gen", "--seed", "1", "--count", "5",
+    def test_batch_runs_past_malformed_record(self, tmp_path, monkeypatch, capsys):
+        # Constant stage timings make result.json byte-for-byte repeatable.
+        monkeypatch.setattr(cli_mod, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        data, single = tmp_path / "ds", tmp_path / "single"
+        assert main(["gen", "--seed", "1", "--count", "20",
                      "--out", str(data)]) == EXIT_OK
         bad = data / "scene_0002.json"
         record = json.loads(bad.read_text())
         record["objects"][1]["mass_grams"] = 10**400
         bad.write_text(json.dumps(record))
-        capsys.readouterr()
-        out = tmp_path / "out"
-        assert main([
-            "pipeline", "--batch", str(data), "--task", "stack all",
-            "--out", str(out),
-        ]) == EXIT_SCHEMA
-        assert sorted(p.parent.name for p in out.glob("*/result.json")) == [
-            "scene_0000", "scene_0001", "scene_0003", "scene_0004"
-        ]
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("scene_0002: SchemaError: mass_grams")
-        assert lines[1] == "processed 5 scenes, 1 failed"
+        faulty = ("scene_0002", "scene_0011")
+        good = [p for p in sorted(data.glob("*.json")) if p.stem not in faulty]
+        for path in good:
+            argv = ["pipeline", str(path), "--task", "stack all", "--out", str(single / path.stem)]
+            assert main(argv) == EXIT_OK
+        for run, jobs in enumerate((["--jobs", "1"], [])):
+            out = tmp_path / f"out{run}"
+            out.mkdir()
+            # A regular file where the write step must create a scene's directory.
+            (out / "scene_0011").write_text("")
+            capsys.readouterr()
+            assert main([
+                "pipeline", "--batch", str(data), "--task", "stack all",
+                "--out", str(out), *jobs,
+            ]) == EXIT_SCHEMA
+            assert sorted(p.parent.name for p in out.glob("*/result.json")) == [
+                p.stem for p in good
+            ]
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 3
+            assert lines[0].startswith("scene_0002: SchemaError: mass_grams")
+            assert lines[1].startswith("scene_0011: FileExistsError: ")
+            assert lines[2] == "processed 20 scenes, 2 failed"
+            for path in good:
+                for name in PIPELINE_OUTPUTS:
+                    assert (out / path.stem / name).read_bytes() == (
+                        single / path.stem / name
+                    ).read_bytes(), (jobs, path.stem, name)
 
     def test_out_is_existing_file(self, scene_file, tmp_path, capsys):
         out = tmp_path / "taken"
@@ -288,39 +309,6 @@ class TestCmdPipeline:
         assert err.startswith("usage:")
         assert "--jobs" in err
 
-    @pytest.mark.parametrize("jobs", [["--jobs", "1"], []])
-    def test_batch_with_mixed_failures_matches_single_scene_runs(
-        self, tmp_path, monkeypatch, capsys, jobs
-    ):
-        # Constant stage timings make result.json byte-for-byte repeatable.
-        monkeypatch.setattr(cli_mod, "time", SimpleNamespace(perf_counter=lambda: 0.0))
-        data, out, single = tmp_path / "ds", tmp_path / "out", tmp_path / "single"
-        assert main(["gen", "--seed", "1", "--count", "20", "--out", str(data)]) == EXIT_OK
-        bad = data / "scene_0004.json"
-        record = json.loads(bad.read_text())
-        record["objects"][1]["fragility"] = "brittle"
-        bad.write_text(json.dumps(record))
-        out.mkdir()
-        (out / "scene_0011").write_text("")  # the write step cannot create this scene's directory
-        capsys.readouterr()
-        assert main([
-            "pipeline", "--batch", str(data), "--task", "stack all", "--out", str(out), *jobs
-        ]) == EXIT_SCHEMA
-        lines = capsys.readouterr().err.splitlines()
-        assert lines[-1] == "processed 20 scenes, 2 failed"
-        assert len(lines) == 3
-        assert sum(line.startswith("scene_0004: SchemaError: ") for line in lines) == 1
-        assert sum(line.startswith("scene_0011: FileExistsError: ") for line in lines) == 1
-        for path in sorted(data.glob("*.json")):
-            if path.stem in ("scene_0004", "scene_0011"):
-                continue
-            argv = ["pipeline", str(path), "--task", "stack all", "--out", str(single / path.stem)]
-            assert main(argv) == EXIT_OK
-            for name in PIPELINE_OUTPUTS:
-                assert (out / path.stem / name).read_bytes() == (
-                    single / path.stem / name
-                ).read_bytes(), (path.stem, name)
-
     def test_batch_backlog_is_bounded(self, tmp_path, monkeypatch):
         data = tmp_path / "ds"
         assert main(["gen", "--seed", "1", "--count", "40", "--out", str(data)]) == EXIT_OK
@@ -346,11 +334,16 @@ class TestCmdPipeline:
         ])))
         batch.start()
         try:
-            seen, deadline = -1, time.monotonic() + 20
-            while len(loads) != seen and time.monotonic() < deadline:
+            # Wait until the loads have stopped: ten polls in a row see the
+            # same nonzero count.
+            seen, steady, deadline = 0, 0, time.monotonic() + 20
+            while steady < 10 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                steady = steady + 1 if len(loads) == seen > 0 else 0
                 seen = len(loads)
-                time.sleep(0.3)
-            assert 0 < len(loads) <= cli_mod._BACKLOG_PER_JOB * jobs + jobs + 1
+            # The cap counts running write steps too, so only the scene whose
+            # hand-off waits for the oldest step is loaded past it.
+            assert 0 < len(loads) <= cli_mod._BACKLOG_PER_JOB * jobs + 1
         finally:
             release.set()
             batch.join(timeout=60)
@@ -358,15 +351,23 @@ class TestCmdPipeline:
         assert codes == [EXIT_OK]
         assert len(loads) == 40
 
-    def test_batch_and_single_scene_time_the_same_stages(self, scene_file, tmp_path):
-        out = tmp_path / "out"
-        argv = ["pipeline", "--task", "stack all", "--out"]
-        assert main(argv + [str(out / "single"), str(scene_file)]) == EXIT_OK
-        assert main(argv + [str(out), "--batch", str(scene_file.parent)]) == EXIT_OK
-        for result in (out / "single" / "result.json", out / "scene_0000" / "result.json"):
-            timings = json.loads(result.read_text())["timings_ms"]
-            assert list(timings) == ["load", "parse", "reorganize", "plan", "write"]
-            assert all(ms >= 0.0 for ms in timings.values())
+    def test_remote_batch_overlaps_its_round_trips(self, tmp_path, monkeypatch):
+        data = tmp_path / "ds"
+        assert main(["gen", "--seed", "1", "--count", "8", "--out", str(data)]) == EXIT_OK
+        # Each round trip returns only once as many are in flight as the
+        # default `--jobs` of a remote batch, so scenes run one at a time fail.
+        in_flight = threading.Barrier(4, timeout=10)
+
+        def round_trip(tree, task, config):
+            in_flight.wait()
+            return reorganize(tree, task, BackendConfig(backend=Backend.RULE))
+
+        monkeypatch.setattr(cli_mod, "reorganize", round_trip)
+        monkeypatch.setenv("SCENE_FOREST_ENDPOINT", "http://127.0.0.1:9/v1/chat/completions")
+        assert main([
+            "pipeline", "--batch", str(data), "--task", "stack all",
+            "--backend", "remote", "--out", str(tmp_path / "out"),
+        ]) == EXIT_OK
 
 
 class TestParser:
