@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import AmbiguousReference, MalformedSentence, UnknownObject
+from .errors import AmbiguousReference, InvalidLabel, MalformedSentence, UnknownObject
 from .model import ObjectInstance, SpatialPredicate, SpatialTriplet, canonicalize_id
 
 _VERB_RE = re.compile(r"\b(is|are)\b", re.IGNORECASE)
@@ -77,7 +77,7 @@ class LabelIndex:
         if ordinal is not None:
             try:
                 canonical = canonicalize_id(head, ordinal)
-            except Exception:
+            except InvalidLabel:
                 canonical = None
             if self.label_of.get(canonical) == head:
                 return canonical

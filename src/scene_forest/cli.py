@@ -105,7 +105,8 @@ def run_pipeline_for_scene(
     The compute step (load, build, reorganize, plan, replay and rendering
     of the output texts) runs here; the write step runs inline, or, when
     `hand_off` is given, is passed to it as a no-argument callable that
-    returns the scene's exit code, and this call returns EXIT_OK. Every
+    returns the scene's exit code, and this call returns EXIT_OK. A rule
+    batch gives `hand_off` only for a scene whose `out_dir` is new. Every
     failure, expected or not, becomes stderr lines prefixed with the scene
     file's stem, so one bad scene never aborts a batch.
     """
@@ -184,9 +185,11 @@ def _write_scene(scene: str, out_dir: Path, texts: dict[str, str], result: dict)
     return EXIT_OK
 
 
-# `--jobs` when it is not given. A rule batch's threads only create and write
-# files, and two beat one on a fresh `--out` and four on a rewritten one; a
-# remote batch's threads run whole scenes, overlapping their HTTP round trips.
+# `--jobs` when it is not given. A rule batch's threads only create new scene
+# directories and write their files: on a fresh `--out` two beat one, and four
+# were no faster. Scenes whose directories exist are written on the calling
+# thread. A remote batch's threads run whole scenes, overlapping their HTTP
+# round trips.
 _DEFAULT_JOBS = {"rule": 2, "remote": 4}
 
 # Write steps a rule batch may have submitted but not finished, per `--jobs`
@@ -224,14 +227,21 @@ def cmd_pipeline(args) -> int:
 def _compute_then_write(
     pool, jobs: int, scene_files: list[Path], task_text: str, out_root: Path
 ) -> list[int]:
-    """Compute a rule batch's scenes in order on this thread and hand each
-    write step to `pool`, the kernel work that overlaps with computing.
+    """Compute a rule batch's scenes in order on this thread. A scene whose
+    output directory existed when the batch started is written here too;
+    a new one's write step goes to `pool`, whose threads overlap the
+    kernel's file creation with computing. Rewriting takes a few cheap
+    syscalls, and handing those to a thread costs more in GIL switches.
 
-    Returns the codes of the scenes that failed to compute and of every
-    write step.
+    Returns the codes of the scenes that failed and of every pool write step.
     """
     from collections import deque
 
+    try:
+        with os.scandir(out_root) as entries:
+            existing = {entry.name for entry in entries if entry.is_dir()}
+    except OSError:  # no `--out` yet, or not a directory: the write steps report it
+        existing = set()
     codes: list[int] = []
     pending: deque = deque()
 
@@ -241,7 +251,10 @@ def _compute_then_write(
         pending.append(pool.submit(job))
 
     for path in scene_files:
-        code = run_pipeline_for_scene(path, task_text, "rule", out_root / path.stem, hand_off)
+        code = run_pipeline_for_scene(
+            path, task_text, "rule", out_root / path.stem,
+            None if path.stem in existing else hand_off,
+        )
         if code != EXIT_OK:
             codes.append(code)
     codes.extend(future.result() for future in pending)
@@ -258,14 +271,18 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse `type` for integers of at least `minimum`; any other
+    value is a usage error (exit 2) naming the option."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return value
+    return convert
 
 
 @functools.cache
@@ -292,15 +309,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--out", required=True, help="output directory")
     p_pipe.add_argument("--batch", help="process every scene file in this directory")
     p_pipe.add_argument(
-        "--jobs", type=_positive_int,
-        help="batch threads: file writers, default 2; whole-scene workers with "
+        "--jobs", type=_int_at_least(1),
+        help="batch threads: writers of new scene directories, default 2 (existing "
+        "ones are rewritten on the calling thread); whole-scene workers with "
         "--backend remote, default 4",
     )
     p_pipe.set_defaults(func=cmd_pipeline)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic dataset")
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--count", type=int, required=True)
+    p_gen.add_argument("--count", type=_int_at_least(0), required=True)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_gen)
     return parser

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scene_forest import captions as caption_mod
 from scene_forest.captions import (
     LabelIndex,
     parse_caption,
@@ -142,6 +143,16 @@ class TestResolveReference:
         registry = [make_object("cup_1")]
         with pytest.raises(UnknownObject):
             resolve_reference("the third cup", registry)
+
+    def test_ordinal_fault_is_not_swallowed(self, monkeypatch):
+        # Only a label that yields no id falls back to the sorted candidates;
+        # any other error from canonicalize_id is a fault and surfaces.
+        def broken(label, ordinal):
+            raise RuntimeError("broken")
+
+        monkeypatch.setattr(caption_mod, "canonicalize_id", broken)
+        with pytest.raises(RuntimeError):
+            resolve_reference("the second cup", [make_object("cup_1"), make_object("cup_2")])
 
 
 _DETERMINERS = {"the", "a", "an"}

@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -239,24 +240,81 @@ class TestCmdPipeline:
             out.mkdir()
             # A regular file where the write step must create a scene's directory.
             (out / "scene_0011").write_text("")
+            failures = ["scene_0002: SchemaError: mass_grams", "scene_0011: FileExistsError: "]
+            # The first round creates the scene directories on the `--jobs`
+            # threads; the second rewrites the existing ones on the calling thread.
+            for round_ in ("fresh", "rewrite"):
+                if round_ == "rewrite":
+                    # Both fail on the calling thread: scene_0002 to load, and
+                    # scene_0005's write step on a directory named plan.txt.
+                    (out / "scene_0002").mkdir()
+                    (out / "scene_0005" / "plan.txt").unlink()
+                    (out / "scene_0005" / "plan.txt").mkdir()
+                    failures.insert(1, "scene_0005: IsADirectoryError: ")
+                capsys.readouterr()
+                assert main([
+                    "pipeline", "--batch", str(data), "--task", "stack all",
+                    "--out", str(out), *jobs,
+                ]) == EXIT_SCHEMA
+                assert sorted(p.parent.name for p in out.glob("*/result.json")) == [
+                    p.stem for p in good
+                ]
+                lines = capsys.readouterr().err.splitlines()
+                assert len(lines) == len(failures) + 1, (jobs, round_)
+                for line, start in zip(lines, failures):
+                    assert line.startswith(start), (jobs, round_)
+                assert lines[-1] == f"processed 20 scenes, {len(failures)} failed"
+                for path in good:
+                    if round_ == "rewrite" and path.stem == "scene_0005":
+                        continue
+                    for name in PIPELINE_OUTPUTS:
+                        assert (out / path.stem / name).read_bytes() == (
+                            single / path.stem / name
+                        ).read_bytes(), (jobs, round_, path.stem, name)
+
+    def test_batch_writes_existing_scenes_inline_and_new_ones_on_threads(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Constant stage timings make result.json byte-for-byte repeatable.
+        monkeypatch.setattr(cli_mod, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        data, single, out = tmp_path / "ds", tmp_path / "single", tmp_path / "out"
+        assert main(["gen", "--seed", "1", "--count", "12", "--out", str(data)]) == EXIT_OK
+        scenes = sorted(p.stem for p in data.glob("*.json"))
+        for scene in scenes:
+            argv = ["pipeline", str(data / f"{scene}.json"), "--task", "stack all"]
+            assert main(argv + ["--out", str(single / scene)]) == EXIT_OK
+        write = cli_mod._write_in_place
+        writers: dict[str, set[int]] = {}
+
+        def recorded_write(path, text):
+            writers.setdefault(Path(path).parent.name, set()).add(threading.get_ident())
+            write(path, text)
+
+        monkeypatch.setattr(cli_mod, "_write_in_place", recorded_write)
+        caller = threading.get_ident()
+        # A fresh `--out`, the same `--out` again, then with half its scene
+        # directories removed: the scenes in `inline` exist when the batch starts.
+        for inline in (set(), set(scenes), set(scenes[::2])):
+            for scene in set(scenes) - inline:
+                shutil.rmtree(out / scene, ignore_errors=True)
+            writers.clear()
             capsys.readouterr()
             assert main([
-                "pipeline", "--batch", str(data), "--task", "stack all",
-                "--out", str(out), *jobs,
-            ]) == EXIT_SCHEMA
-            assert sorted(p.parent.name for p in out.glob("*/result.json")) == [
-                p.stem for p in good
+                "pipeline", "--batch", str(data), "--task", "stack all", "--out", str(out),
+            ]) == EXIT_OK
+            assert capsys.readouterr().err.splitlines() == [
+                f"processed {len(scenes)} scenes, 0 failed"
             ]
-            lines = capsys.readouterr().err.splitlines()
-            assert len(lines) == 3
-            assert lines[0].startswith("scene_0002: SchemaError: mass_grams")
-            assert lines[1].startswith("scene_0011: FileExistsError: ")
-            assert lines[2] == "processed 20 scenes, 2 failed"
-            for path in good:
+            assert sorted(writers) == scenes
+            for scene in scenes:
+                if scene in inline:
+                    assert writers[scene] == {caller}, scene
+                else:
+                    assert caller not in writers[scene], scene
                 for name in PIPELINE_OUTPUTS:
-                    assert (out / path.stem / name).read_bytes() == (
-                        single / path.stem / name
-                    ).read_bytes(), (jobs, path.stem, name)
+                    assert (out / scene / name).read_bytes() == (
+                        single / scene / name
+                    ).read_bytes(), (len(inline), scene, name)
 
     def test_out_is_existing_file(self, scene_file, tmp_path, capsys):
         out = tmp_path / "taken"
@@ -419,6 +477,16 @@ class TestCmdGen:
         assert sorted(p.name for p in reused.iterdir()) == sorted(p.name for p in fresh.iterdir())
         for path in fresh.iterdir():
             assert (reused / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_negative_count_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--count", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "--count" in err
+        assert not out.exists()
 
     def test_zero_count(self, tmp_path):
         out = tmp_path / "empty"
