@@ -35,7 +35,7 @@ _ORDINAL_WORDS = {
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
-    severity: str  # "error" | "warning"
+    severity: str  # "warning"
     span: tuple[int, int]
     message: str
 
@@ -155,23 +155,24 @@ def _parse_clauses(sentence: str, base: int):
         yield subjects, predicate, object_text, span
 
 
-def parse_caption_with_diagnostics(
-    caption: str, registry: list[ObjectInstance] | LabelIndex
-) -> tuple[list[SpatialTriplet], list[ParseDiagnostic]]:
-    """Parse a caption into triplets, collecting warning diagnostics.
+def parse_caption(
+    caption: str,
+    registry: list[ObjectInstance] | LabelIndex,
+    warnings: list[ParseDiagnostic] | None = None,
+) -> list[SpatialTriplet]:
+    """Parse a caption into support triplets, in textual order.
 
     `registry` is the scene's objects or a `LabelIndex` built from them.
-    Duplicate relations within one caption are deduplicated with a warning.
-    Errors (unknown object, ambiguous reference, malformed sentence) raise.
+    Duplicate relations within one caption are deduplicated, each with a
+    warning appended to `warnings` when the caller passes a list. Errors
+    (unknown object, ambiguous reference, malformed sentence) raise.
     """
-    text = caption
-    if not text.strip():
-        raise MalformedSentence("caption is empty", span=(0, len(text)))
+    if not caption.strip():
+        raise MalformedSentence("caption is empty", span=(0, len(caption)))
     triplets: list[SpatialTriplet] = []
-    diagnostics: list[ParseDiagnostic] = []
     seen: set[tuple[str, str]] = set()
     index = registry if isinstance(registry, LabelIndex) else LabelIndex(registry)
-    for sentence_match in _SENTENCE_RE.finditer(text):
+    for sentence_match in _SENTENCE_RE.finditer(caption):
         sentence = sentence_match.group(0)
         if not sentence.strip():
             continue
@@ -186,24 +187,17 @@ def parse_caption_with_diagnostics(
                     )
                 key = (subject, support)
                 if key in seen:
-                    diagnostics.append(
-                        ParseDiagnostic(
-                            severity="warning",
-                            span=span,
-                            message=f"duplicate relation {subject} -> {support}",
+                    if warnings is not None:
+                        warnings.append(
+                            ParseDiagnostic(
+                                severity="warning",
+                                span=span,
+                                message=f"duplicate relation {subject} -> {support}",
+                            )
                         )
-                    )
                     continue
                 seen.add(key)
                 triplets.append(
                     SpatialTriplet(subject=subject, predicate=predicate, support=support)
                 )
-    return triplets, diagnostics
-
-
-def parse_caption(
-    caption: str, registry: list[ObjectInstance] | LabelIndex
-) -> list[SpatialTriplet]:
-    """Parse a caption into support triplets, in textual order."""
-    triplets, _ = parse_caption_with_diagnostics(caption, registry)
     return triplets

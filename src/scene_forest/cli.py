@@ -51,7 +51,7 @@ _EXIT_CODES = (
 
 
 def _err(message: str) -> None:
-    # One write per line, so lines from the batch's writer threads never interleave.
+    # One write per line, so lines from the batch's threads never interleave.
     sys.stderr.write(f"{message}\n")
 
 
@@ -105,10 +105,14 @@ def run_pipeline_for_scene(
     The compute step (load, build, reorganize, plan, replay and rendering
     of the output texts) runs here; the write step runs inline, or, when
     `hand_off` is given, is passed to it as a no-argument callable that
-    returns the scene's exit code, and this call returns EXIT_OK. A rule
-    batch gives `hand_off` only for a scene whose `out_dir` is new. Every
-    failure, expected or not, becomes stderr lines prefixed with the scene
-    file's stem, so one bad scene never aborts a batch.
+    returns the scene's exit code, and this call returns EXIT_OK. A batch
+    submits each remote scene's whole call to its `--jobs` threads, and
+    runs each rule scene on the calling thread, passing its `submit` as
+    `hand_off` only when `out_dir` is new: creating files overlaps with
+    computing, but a rewrite's few cheap syscalls cost more in GIL
+    switches on a thread. Every failure, expected or not, becomes stderr
+    lines prefixed with the scene file's stem, so one bad scene never
+    aborts a batch.
     """
     scene = Path(scene_path).stem
     timings: dict[str, float] = {}
@@ -187,13 +191,12 @@ def _write_scene(scene: str, out_dir: Path, texts: dict[str, str], result: dict)
 
 # `--jobs` when it is not given. A rule batch's threads only create new scene
 # directories and write their files: on a fresh `--out` two beat one, and four
-# were no faster. Scenes whose directories exist are written on the calling
-# thread. A remote batch's threads run whole scenes, overlapping their HTTP
-# round trips.
+# were no faster. A remote batch's threads run whole scenes, overlapping their
+# HTTP round trips.
 _DEFAULT_JOBS = {"rule": 2, "remote": 4}
 
-# Write steps a rule batch may have submitted but not finished, per `--jobs`
-# thread. The cap bounds the rendered texts held in memory.
+# Jobs a batch may have submitted but not finished, per `--jobs` thread. The
+# cap bounds the rendered texts a rule batch holds in memory.
 _BACKLOG_PER_JOB = 4
 
 
@@ -206,59 +209,39 @@ def cmd_pipeline(args) -> int:
         _err(f"no scene files in {args.batch}")
         return EXIT_IO
 
+    from collections import deque
     from concurrent.futures import ThreadPoolExecutor
 
+    remote = args.backend == "remote"
+    existing: set[str] = set()
+    if not remote:
+        try:
+            with os.scandir(out_root) as entries:
+                existing = {entry.name for entry in entries if entry.is_dir()}
+        except OSError:  # no `--out` yet, or not a directory: the write steps report it
+            pass
     jobs = args.jobs or _DEFAULT_JOBS[args.backend]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        if args.backend == "remote":
-            codes = list(pool.map(
-                lambda path: run_pipeline_for_scene(
-                    path, args.task, args.backend, out_root / path.stem
-                ),
-                scene_files,
-            ))
-        else:
-            codes = _compute_then_write(pool, jobs, scene_files, args.task, out_root)
-    failed = sum(1 for c in codes if c != EXIT_OK)
-    _err(f"processed {len(scene_files)} scenes, {failed} failed")
-    return max(codes, default=EXIT_OK)
-
-
-def _compute_then_write(
-    pool, jobs: int, scene_files: list[Path], task_text: str, out_root: Path
-) -> list[int]:
-    """Compute a rule batch's scenes in order on this thread. A scene whose
-    output directory existed when the batch started is written here too;
-    a new one's write step goes to `pool`, whose threads overlap the
-    kernel's file creation with computing. Rewriting takes a few cheap
-    syscalls, and handing those to a thread costs more in GIL switches.
-
-    Returns the codes of the scenes that failed and of every pool write step.
-    """
-    from collections import deque
-
-    try:
-        with os.scandir(out_root) as entries:
-            existing = {entry.name for entry in entries if entry.is_dir()}
-    except OSError:  # no `--out` yet, or not a directory: the write steps report it
-        existing = set()
     codes: list[int] = []
     pending: deque = deque()
 
-    def hand_off(job) -> None:
+    def submit(job) -> None:
         if len(pending) >= _BACKLOG_PER_JOB * jobs:
             codes.append(pending.popleft().result())
         pending.append(pool.submit(job))
 
-    for path in scene_files:
-        code = run_pipeline_for_scene(
-            path, task_text, "rule", out_root / path.stem,
-            None if path.stem in existing else hand_off,
-        )
-        if code != EXIT_OK:
-            codes.append(code)
-    codes.extend(future.result() for future in pending)
-    return codes
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        for path in scene_files:
+            scene = functools.partial(
+                run_pipeline_for_scene, path, args.task, args.backend, out_root / path.stem
+            )
+            if remote:
+                submit(scene)
+            else:
+                codes.append(scene(None if path.stem in existing else submit))
+        codes.extend(future.result() for future in pending)
+    failed = sum(1 for c in codes if c != EXIT_OK)
+    _err(f"processed {len(scene_files)} scenes, {failed} failed")
+    return max(codes)
 
 
 def cmd_gen(args) -> int:

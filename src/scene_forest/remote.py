@@ -57,8 +57,11 @@ def build_messages(tree: SceneTree, task: TaskSpec) -> list[dict]:
 # What one failed attempt can raise: OSError covers URLError, socket
 # timeouts and resets (an HTTPError, a non-2xx reply, is caught first and
 # sorted by status); ValueError covers a body that is not JSON and an
-# endpoint URL that urllib cannot parse.
-_ATTEMPT_ERRORS = (OSError, http.client.HTTPException, ValueError, BackendError)
+# endpoint URL that urllib cannot parse; RecursionError, a body nested too
+# deeply to decode.
+_ATTEMPT_ERRORS = (
+    OSError, http.client.HTTPException, ValueError, RecursionError, BackendError
+)
 
 
 def _post_chat(config, messages: list[dict]) -> str:

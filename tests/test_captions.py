@@ -9,7 +9,6 @@ from scene_forest import captions as caption_mod
 from scene_forest.captions import (
     LabelIndex,
     parse_caption,
-    parse_caption_with_diagnostics,
     resolve_reference,
 )
 from scene_forest.cli import _scene_triplets
@@ -99,8 +98,9 @@ class TestParseCaption:
         assert [t.subject for t in result] == ["pen_1", "book_1"]
 
     def test_duplicate_dedup_with_warning(self, registry):
-        result, diags = parse_caption_with_diagnostics(
-            "The book is on the table. The book is on top of the table.", registry
+        diags = []
+        result = parse_caption(
+            "The book is on the table. The book is on top of the table.", registry, diags
         )
         assert len(result) == 1
         assert [d.severity for d in diags] == ["warning"]

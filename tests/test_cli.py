@@ -427,6 +427,42 @@ class TestCmdPipeline:
             "--backend", "remote", "--out", str(tmp_path / "out"),
         ]) == EXIT_OK
 
+    def test_remote_batch_runs_past_malformed_record(self, tmp_path, monkeypatch, capsys):
+        # Constant stage timings make result.json byte-for-byte repeatable.
+        monkeypatch.setattr(cli_mod, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        monkeypatch.setattr(
+            cli_mod, "reorganize",
+            lambda tree, task, config: reorganize(tree, task, BackendConfig(backend=Backend.RULE)),
+        )
+        monkeypatch.setenv("SCENE_FOREST_ENDPOINT", "http://127.0.0.1:9/v1/chat/completions")
+        data, single = tmp_path / "ds", tmp_path / "single"
+        # More scenes than the backlog holds at `--jobs 1` and at the default 4.
+        assert main(["gen", "--seed", "1", "--count", "20", "--out", str(data)]) == EXIT_OK
+        bad = data / "scene_0002.json"
+        record = json.loads(bad.read_text())
+        record["objects"][1]["mass_grams"] = 10**400
+        bad.write_text(json.dumps(record))
+        good = [p for p in sorted(data.glob("*.json")) if p != bad]
+        remote = ["--task", "stack all", "--backend", "remote", "--out"]
+        for path in good:
+            assert main(["pipeline", str(path), *remote, str(single / path.stem)]) == EXIT_OK
+        for run, jobs in enumerate((["--jobs", "1"], [])):
+            out = tmp_path / f"out{run}"
+            capsys.readouterr()
+            assert main(["pipeline", "--batch", str(data), *remote, str(out), *jobs]) == EXIT_SCHEMA
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 2, jobs
+            assert lines[0].startswith("scene_0002: SchemaError: mass_grams"), jobs
+            assert lines[-1] == "processed 20 scenes, 1 failed"
+            assert sorted(p.parent.name for p in out.glob("*/result.json")) == [
+                p.stem for p in good
+            ]
+            for path in good:
+                for name in PIPELINE_OUTPUTS:
+                    assert (out / path.stem / name).read_bytes() == (
+                        single / path.stem / name
+                    ).read_bytes(), (jobs, path.stem, name)
+
 
 class TestParser:
     def test_built_once_and_usage_errors_repeat(self, capsys):

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from scene_forest.cli import EXIT_BACKEND, main
+from scene_forest.dataset import GeneratorConfig, generate_synthetic_scene, save_scene_record
 from scene_forest.errors import BackendError, InvalidGoal
 from scene_forest.model import SceneTree, TaskKind, TaskSpec
 from scene_forest.remote import API_KEY_ENV, build_messages, request_goal_tree
@@ -193,6 +195,42 @@ def test_non_json_body_is_retried_then_backend_error(tree, task):
     finally:
         server.close()
     assert len(server.requests) == 2
+
+
+# A JSON body nested too deeply for the decoder: it raises RecursionError.
+NESTED_BODY = b"[" * 100_000 + b"]" * 100_000
+
+
+def test_nested_body_is_retried_then_accepted(tree, task):
+    server = StubChatServer([(200, NESTED_BODY), (200, goal_block(tree))])
+    try:
+        goal = request_goal_tree(tree, task, config_for(server, retries=1))
+    finally:
+        server.close()
+    assert goal.parent == {"cup_1": "table_1", "book_1": "cup_1"}
+    assert len(server.requests) == 2
+
+
+def test_nested_body_on_every_attempt_exits_6(tmp_path, monkeypatch, capsys):
+    scene = tmp_path / "scene_0000.json"
+    save_scene_record(generate_synthetic_scene(GeneratorConfig(seed=0), 0), scene)
+    attempts = BackendConfig(backend=Backend.RULE).max_retries + 1
+    server = StubChatServer([(200, NESTED_BODY)] * attempts)
+    monkeypatch.setenv("SCENE_FOREST_ENDPOINT", server.url)
+    try:
+        code = main([
+            "pipeline", str(scene), "--task", "make it tidy", "--backend", "remote",
+            "--out", str(tmp_path / "out"),
+        ])
+    finally:
+        server.close()
+    assert code == EXIT_BACKEND
+    assert len(server.requests) == attempts
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "scene_0000: BackendError: remote backend failed after retries: maximum recursion"
+    )
 
 
 def test_malformed_reply_shape_is_backend_error(tree, task):
