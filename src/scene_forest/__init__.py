@@ -27,7 +27,6 @@ from .reorganize import (
 )
 from .planner import diff_trees, execute_plan, plan_moves
 from .dataset import (
-    GeneratorConfig,
     generate_synthetic_scene,
     load_scene_record,
     render_caption,
@@ -38,7 +37,6 @@ __all__ = [
     "AttributeSet",
     "Backend",
     "BackendConfig",
-    "GeneratorConfig",
     "MoveAction",
     "ObjectInstance",
     "Plan",

@@ -66,7 +66,7 @@ def _report(exc: Exception, scene: str | None = None) -> int:
 def _scene_triplets(record: SceneRecord):
     if record.triplets is not None:
         return list(record.triplets)
-    index = caption_mod.LabelIndex(record.registry())
+    index = caption_mod.LabelIndex(record.objects)
     triplets = []
     for caption in record.captions:
         if caption.strip():
@@ -93,6 +93,8 @@ def _backend_config(backend_name: str) -> BackendConfig:
         raise BackendError(
             "remote backend requires SCENE_FOREST_ENDPOINT to be set"
         )
+    if not endpoint.lower().startswith(("http://", "https://")):
+        raise BackendError(f"SCENE_FOREST_ENDPOINT must be an http(s) URL, got {endpoint!r}")
     model = os.environ.get("SCENE_FOREST_MODEL", "gpt-4o")
     return BackendConfig(backend=Backend.REMOTE, endpoint_url=endpoint, model_name=model)
 
@@ -127,13 +129,13 @@ def run_pipeline_for_scene(
     try:
         record = dataset_mod.load_scene_record(scene_path)
         timed("load")
-        report = build_tree(_scene_triplets(record), record.registry())
+        report = build_tree(_scene_triplets(record), record.objects)
         if not report.success:
             for v in report.violations:
                 _err(f"{scene}: {v.kind.value}: {v.detail}")
             return EXIT_PARSE
         initial = report.tree
-        task = parse_task(task_text, record.registry())
+        task = parse_task(task_text, record.objects)
         timed("parse")
         goal = reorganize(initial, task, _backend_config(backend_name))
         timed("reorganize")
@@ -246,10 +248,9 @@ def cmd_pipeline(args) -> int:
 
 def cmd_gen(args) -> int:
     out_dir = Path(args.out)
-    config = dataset_mod.GeneratorConfig(seed=args.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     for index in range(args.count):
-        record = dataset_mod.generate_synthetic_scene(config, index)
+        record = dataset_mod.generate_synthetic_scene(args.seed, index)
         dataset_mod.save_scene_record(record, out_dir / f"{record.scene_id}.json")
     return EXIT_OK
 
@@ -311,6 +312,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "pipeline" and not args.batch and not args.scene:
         _err("pipeline requires a scene file or --batch directory")
+        return EXIT_IO
+    if args.command == "pipeline" and args.batch and args.scene:
+        _err("pipeline takes a scene file or --batch directory, not both")
+        return EXIT_IO
+    if args.command == "pipeline" and not args.batch and args.jobs is not None:
+        _err("pipeline --jobs applies only with --batch")
         return EXIT_IO
     try:
         return args.func(args)

@@ -19,7 +19,6 @@ from .errors import DomainError, IoError, SchemaError
 from .model import (
     AttributeSet,
     FRAGILITY_LEVELS,
-    MATERIALS,
     ObjectInstance,
     SceneRecord,
     SceneTree,
@@ -242,8 +241,8 @@ _TRANSPARENCY_WEIGHTS = (3.0, 1.0, 1.0)
 class AttributeSampler:
     """Per-label material choices and mass range."""
 
-    material_choices: tuple[str, ...] = MATERIALS
-    mass_range_grams: tuple[float, float] = (50.0, 2000.0)
+    material_choices: tuple[str, ...]
+    mass_range_grams: tuple[float, float]
 
     def sample(self, rng: random.Random) -> AttributeSet:
         fragility = rng.choices(FRAGILITY_LEVELS, weights=_FRAGILITY_WEIGHTS)[0]
@@ -279,30 +278,20 @@ _LABEL_VOCABULARY = (
 )
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    seed: int = 0
-    object_count_range: tuple[int, int] = (2, 6)
-    max_stack_height: int = 4
-
-    def __post_init__(self):
-        lo, hi = self.object_count_range
-        if not (1 <= lo <= hi):
-            raise ValueError("object_count_range must satisfy 1 <= min <= max")
-        if self.max_stack_height < 1:
-            raise ValueError("max_stack_height must be positive")
-
+# Objects per scene besides the table, drawn uniformly from this range, and
+# the deepest level an object may sit at (the table is level 0).
+_OBJECT_COUNT_RANGE = (2, 6)
+_MAX_STACK_HEIGHT = 4
 
 _ROOT_ATTRIBUTES = AttributeSet(
     fragility="low", mass_grams=12000, material="wood", transparency="opaque"
 )
 
 
-def generate_synthetic_scene(config: GeneratorConfig, index: int) -> SceneRecord:
-    """Deterministic synthetic scene record for (config.seed, index)."""
-    rng = random.Random(f"{config.seed}:{index}")
-    lo, hi = config.object_count_range
-    count = rng.randint(lo, hi)
+def generate_synthetic_scene(seed: int, index: int) -> SceneRecord:
+    """Deterministic synthetic scene record for (seed, index)."""
+    rng = random.Random(f"{seed}:{index}")
+    count = rng.randint(*_OBJECT_COUNT_RANGE)
 
     root = ObjectInstance(id="table_1", label="table", attributes=_ROOT_ATTRIBUTES)
     ordinals: dict[str, int] = {}
@@ -318,14 +307,14 @@ def generate_synthetic_scene(config: GeneratorConfig, index: int) -> SceneRecord
             )
         )
 
-    # Random valid forest under the table, bounded by max_stack_height.
+    # Random valid forest under the table, bounded by _MAX_STACK_HEIGHT.
     depths = {root.id: 0}
-    supports = [root.id]  # sorted ids of the objects below max_stack_height
+    supports = [root.id]  # sorted ids of the objects below _MAX_STACK_HEIGHT
     triplets = []
     for obj in objects[1:]:
         support = supports[rng.randrange(len(supports))]
         depths[obj.id] = depths[support] + 1
-        if depths[obj.id] < config.max_stack_height:
+        if depths[obj.id] < _MAX_STACK_HEIGHT:
             insort(supports, obj.id)
         predicate = rng.choice((SpatialPredicate.ON, SpatialPredicate.ON_TOP_OF))
         triplets.append(

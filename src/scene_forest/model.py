@@ -208,6 +208,3 @@ class SceneRecord:
                     raise DomainError(
                         f"triplet ({t.subject}, {t.support}) references undeclared id"
                     )
-
-    def registry(self) -> list[ObjectInstance]:
-        return list(self.objects)

@@ -4,8 +4,8 @@ Sends the serialized tree plus task as a chat request and parses the
 returned tree block. Each parsed reply then passes the goal gate,
 `reorganize.check_goal`, exactly once, here inside the retry loop: a reply
 that fails to parse or fails the gate is re-prompted with the violation
-text, up to the configured retry budget. The goal returned has passed the
-gate and is not checked again.
+text, up to `_MAX_RETRIES` times. The goal returned has passed the gate
+and is not checked again.
 
 The client is the standard library's `urllib.request`, one request per
 attempt. An attempt is retried when the connection fails or times out, the
@@ -31,7 +31,9 @@ from .treetext import serialize_tree
 
 API_KEY_ENV = "SCENE_FOREST_API_KEY"
 
-PROMPT_VERSION = "1"
+# Each attempt may take up to this long; a scene gets 1 + _MAX_RETRIES attempts.
+_TIMEOUT_SECONDS = 30.0
+_MAX_RETRIES = 2
 
 PROMPT_PREAMBLE = (
     "You control a robotic arm that cannot see its environment. The current "
@@ -78,7 +80,7 @@ def _post_chat(config, messages: list[dict]) -> str:
         # unredirected header goes only to the endpoint the caller named.
         request.add_unredirected_header("Authorization", f"Bearer {api_key}")
     try:
-        with urllib.request.urlopen(request, timeout=config.timeout_seconds) as resp:
+        with urllib.request.urlopen(request, timeout=_TIMEOUT_SECONDS) as resp:
             raw = resp.read()
     except urllib.error.HTTPError as exc:
         exc.close()  # the error carries the reply body; release its socket
@@ -98,7 +100,7 @@ def request_goal_tree(tree: SceneTree, task: TaskSpec, config) -> SceneTree:
     registry: list[ObjectInstance] = list(tree.nodes.values())
     messages = build_messages(tree, task)
     last_error: Exception | None = None
-    for _ in range(config.max_retries + 1):
+    for _ in range(_MAX_RETRIES + 1):
         try:
             content = _post_chat(config, messages)
         except urllib.error.HTTPError as exc:

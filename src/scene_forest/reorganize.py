@@ -34,14 +34,8 @@ class BackendConfig:
     backend: Backend
     endpoint_url: str | None = None
     model_name: str | None = None
-    timeout_seconds: float = 30.0
-    max_retries: int = 2
 
     def __post_init__(self):
-        if self.timeout_seconds <= 0:
-            raise ValueError("timeout_seconds must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
         if self.backend is Backend.REMOTE and not (self.endpoint_url and self.model_name):
             raise ValueError("remote backend requires endpoint_url and model_name")
 

@@ -12,7 +12,7 @@ from scene_forest.captions import (
     resolve_reference,
 )
 from scene_forest.cli import _scene_triplets
-from scene_forest.dataset import GeneratorConfig, generate_synthetic_scene
+from scene_forest.dataset import generate_synthetic_scene
 from scene_forest.errors import (
     AmbiguousReference,
     CaptionError,
@@ -267,8 +267,9 @@ def caption_records(draw):
     of which parse), or drawn phrases over a tie-prone registry (most fail to
     resolve); blank captions are mixed in either way."""
     if draw(st.booleans()):
-        config = GeneratorConfig(seed=draw(st.integers(0, 10**6)))
-        generated = generate_synthetic_scene(config, draw(st.integers(0, 50)))
+        generated = generate_synthetic_scene(
+            draw(st.integers(0, 10**6)), draw(st.integers(0, 50))
+        )
         objects, captions = generated.objects, list(generated.captions)
     else:
         objects = draw(registries())
@@ -290,10 +291,9 @@ def _triplets_or_error(parse):
 
 
 def _parse_each_caption_alone(record):
-    registry = record.registry()
     return [
         t for caption in record.captions if caption.strip()
-        for t in parse_caption(caption, registry)
+        for t in parse_caption(caption, record.objects)
     ]
 
 

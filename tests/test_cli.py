@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from scene_forest import cli as cli_mod
 from scene_forest import dataset as dataset_mod
 from scene_forest.cli import (
+    EXIT_BACKEND,
     EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
@@ -27,7 +28,7 @@ from scene_forest.cli import (
     build_parser,
     main,
 )
-from scene_forest.dataset import GeneratorConfig, generate_synthetic_scene, save_scene_record
+from scene_forest.dataset import generate_synthetic_scene, save_scene_record
 from scene_forest.errors import AmbiguousReference
 from scene_forest.model import SceneRecord, SpatialPredicate, SpatialTriplet, TaskKind
 from scene_forest.reorganize import Backend, BackendConfig, parse_task, reorganize
@@ -42,7 +43,7 @@ PIPELINE_OUTPUTS = (
 
 @pytest.fixture
 def scene_file(tmp_path):
-    record = generate_synthetic_scene(GeneratorConfig(seed=0), 0)
+    record = generate_synthetic_scene(0, 0)
     path = tmp_path / "scene_0000.json"
     save_scene_record(record, path)
     return path
@@ -179,7 +180,7 @@ class TestCmdPipeline:
             assert (out / name).exists()
 
     def test_stack_object_task(self, tmp_path):
-        record = generate_synthetic_scene(GeneratorConfig(seed=2), 1)
+        record = generate_synthetic_scene(2, 1)
         label = record.objects[1].label
         path = tmp_path / "scene.json"
         save_scene_record(record, path)
@@ -462,6 +463,50 @@ class TestCmdPipeline:
                     assert (out / path.stem / name).read_bytes() == (
                         single / path.stem / name
                     ).read_bytes(), (jobs, path.stem, name)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--batch", "{data}", "{scene}"],
+         "pipeline takes a scene file or --batch directory, not both"),
+        (["{scene}", "--jobs", "2"], "pipeline --jobs applies only with --batch"),
+        ([], "pipeline requires a scene file or --batch directory"),
+    ])
+    def test_ignored_option_combination_is_a_usage_error(
+        self, scene_file, tmp_path, capsys, argv, message
+    ):
+        out = tmp_path / "out"
+        places = {"data": str(scene_file.parent), "scene": str(scene_file)}
+        code = main([
+            "pipeline", *(arg.format(**places) for arg in argv),
+            "--task", "stack all", "--out", str(out),
+        ])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("endpoint", [
+        'data:application/json,{"choices": [{"message": {"content": "TREE"}}]}',
+        "localhost:8000/v1",
+    ])
+    def test_endpoint_that_is_not_http_is_rejected_before_sending(
+        self, scene_file, tmp_path, monkeypatch, capsys, endpoint
+    ):
+        from scene_forest import remote
+
+        def refuse(config, messages):
+            raise AssertionError(f"request sent to {config.endpoint_url}")
+
+        monkeypatch.setattr(remote, "_post_chat", refuse)
+        monkeypatch.setenv("SCENE_FOREST_ENDPOINT", endpoint)
+        out = tmp_path / "out"
+        assert main([
+            "pipeline", str(scene_file), "--task", "make it tidy", "--backend", "remote",
+            "--out", str(out),
+        ]) == EXIT_BACKEND
+        assert capsys.readouterr().err.splitlines() == [
+            f"scene_0000: BackendError: SCENE_FOREST_ENDPOINT must be an http(s) URL, "
+            f"got {endpoint!r}"
+        ]
+        assert not out.exists()
 
 
 class TestParser:

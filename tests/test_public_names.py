@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "AttributeSet",
     "Backend",
     "BackendConfig",
-    "GeneratorConfig",
     "MoveAction",
     "ObjectInstance",
     "Plan",

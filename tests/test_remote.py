@@ -10,14 +10,22 @@ from pathlib import Path
 import pytest
 
 from scene_forest.cli import EXIT_BACKEND, main
-from scene_forest.dataset import GeneratorConfig, generate_synthetic_scene, save_scene_record
+from scene_forest.dataset import generate_synthetic_scene, save_scene_record
 from scene_forest.errors import BackendError, InvalidGoal
 from scene_forest.model import SceneTree, TaskKind, TaskSpec
-from scene_forest.remote import API_KEY_ENV, build_messages, request_goal_tree
+from scene_forest.remote import _MAX_RETRIES, API_KEY_ENV, build_messages, request_goal_tree
 from scene_forest.reorganize import Backend, BackendConfig, reorganize
 from scene_forest.treetext import serialize_tree
 
 from conftest import chain_tree
+
+# Requests a scene sends before the client gives up: the first and every retry.
+ATTEMPTS = _MAX_RETRIES + 1
+
+
+def every_attempt(*replies):
+    """One scripted reply per attempt, cycling through `replies`."""
+    return [replies[n % len(replies)] for n in range(ATTEMPTS)]
 
 
 class StubChatServer:
@@ -98,13 +106,9 @@ def task():
     return TaskSpec(kind=TaskKind.FREE_TEXT, raw_prompt="make it tidy")
 
 
-def config_for(server, retries=1):
+def config_for(server):
     return BackendConfig(
-        backend=Backend.REMOTE,
-        endpoint_url=server.url,
-        model_name="test-model",
-        timeout_seconds=5,
-        max_retries=retries,
+        backend=Backend.REMOTE, endpoint_url=server.url, model_name="test-model"
     )
 
 
@@ -134,23 +138,22 @@ def test_request_shape_and_valid_response(tree, task, monkeypatch):
 
 
 def test_malformed_response_yields_invalid_goal(tree, task):
-    server = StubChatServer([
-        (200, "I cannot draw trees."),
-        (200, "Still no tree here."),
-    ])
+    server = StubChatServer(
+        every_attempt((200, "I cannot draw trees."), (200, "Still no tree here."))
+    )
     try:
         with pytest.raises(InvalidGoal):
-            request_goal_tree(tree, task, config_for(server, retries=1))
+            request_goal_tree(tree, task, config_for(server))
     finally:
         server.close()
-    assert len(server.requests) == 2
+    assert len(server.requests) == ATTEMPTS
 
 
 def test_conservation_breach_reprompted_then_accepted(tree, task):
     dropped = "TREE\ntable_1 [x]\n  book_1 [x]\nEND\n"
     server = StubChatServer([(200, dropped), (200, goal_block(tree))])
     try:
-        goal = request_goal_tree(tree, task, config_for(server, retries=1))
+        goal = request_goal_tree(tree, task, config_for(server))
     finally:
         server.close()
     assert goal.parent == {"cup_1": "table_1", "book_1": "cup_1"}
@@ -163,7 +166,7 @@ def test_wrong_root_reprompted_then_accepted(tree, task):
     wrong_root = "TREE\ncup_1 [x]\n  table_1 [x]\n  book_1 [x]\nEND\n"
     server = StubChatServer([(200, wrong_root), (200, goal_block(tree))])
     try:
-        goal = request_goal_tree(tree, task, config_for(server, retries=1))
+        goal = request_goal_tree(tree, task, config_for(server))
     finally:
         server.close()
     assert goal.parent == {"cup_1": "table_1", "book_1": "cup_1"}
@@ -172,12 +175,13 @@ def test_wrong_root_reprompted_then_accepted(tree, task):
 
 
 def test_http_failure_after_retries_is_backend_error(tree, task):
-    server = StubChatServer([(500, ""), (500, "")])
+    server = StubChatServer(every_attempt((500, "")))
     try:
         with pytest.raises(BackendError):
-            request_goal_tree(tree, task, config_for(server, retries=1))
+            request_goal_tree(tree, task, config_for(server))
     finally:
         server.close()
+    assert len(server.requests) == ATTEMPTS
 
 
 def test_messages_contain_preamble(tree, task):
@@ -188,13 +192,13 @@ def test_messages_contain_preamble(tree, task):
 
 
 def test_non_json_body_is_retried_then_backend_error(tree, task):
-    server = StubChatServer([(200, b"<html>busy</html>"), (200, b"{not json")])
+    server = StubChatServer(every_attempt((200, b"<html>busy</html>"), (200, b"{not json")))
     try:
         with pytest.raises(BackendError, match="failed after retries"):
-            request_goal_tree(tree, task, config_for(server, retries=1))
+            request_goal_tree(tree, task, config_for(server))
     finally:
         server.close()
-    assert len(server.requests) == 2
+    assert len(server.requests) == ATTEMPTS
 
 
 # A JSON body nested too deeply for the decoder: it raises RecursionError.
@@ -204,7 +208,7 @@ NESTED_BODY = b"[" * 100_000 + b"]" * 100_000
 def test_nested_body_is_retried_then_accepted(tree, task):
     server = StubChatServer([(200, NESTED_BODY), (200, goal_block(tree))])
     try:
-        goal = request_goal_tree(tree, task, config_for(server, retries=1))
+        goal = request_goal_tree(tree, task, config_for(server))
     finally:
         server.close()
     assert goal.parent == {"cup_1": "table_1", "book_1": "cup_1"}
@@ -213,9 +217,8 @@ def test_nested_body_is_retried_then_accepted(tree, task):
 
 def test_nested_body_on_every_attempt_exits_6(tmp_path, monkeypatch, capsys):
     scene = tmp_path / "scene_0000.json"
-    save_scene_record(generate_synthetic_scene(GeneratorConfig(seed=0), 0), scene)
-    attempts = BackendConfig(backend=Backend.RULE).max_retries + 1
-    server = StubChatServer([(200, NESTED_BODY)] * attempts)
+    save_scene_record(generate_synthetic_scene(0, 0), scene)
+    server = StubChatServer(every_attempt((200, NESTED_BODY)))
     monkeypatch.setenv("SCENE_FOREST_ENDPOINT", server.url)
     try:
         code = main([
@@ -225,7 +228,7 @@ def test_nested_body_on_every_attempt_exits_6(tmp_path, monkeypatch, capsys):
     finally:
         server.close()
     assert code == EXIT_BACKEND
-    assert len(server.requests) == attempts
+    assert len(server.requests) == ATTEMPTS
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(
@@ -234,23 +237,23 @@ def test_nested_body_on_every_attempt_exits_6(tmp_path, monkeypatch, capsys):
 
 
 def test_malformed_reply_shape_is_backend_error(tree, task):
-    server = StubChatServer([
+    server = StubChatServer(every_attempt(
         (200, b'{"choices": []}'),
         (200, b"[1, 2]"),
         (200, b'{"choices": [{"message": {"content": null}}]}'),
-    ])
+    ))
     try:
         with pytest.raises(BackendError, match="malformed chat response"):
-            request_goal_tree(tree, task, config_for(server, retries=2))
+            request_goal_tree(tree, task, config_for(server))
     finally:
         server.close()
-    assert len(server.requests) == 3
+    assert len(server.requests) == ATTEMPTS
 
 
 def test_http_error_then_valid_reply_recovers(tree, task):
     server = StubChatServer([(500, ""), (200, goal_block(tree))])
     try:
-        goal = request_goal_tree(tree, task, config_for(server, retries=1))
+        goal = request_goal_tree(tree, task, config_for(server))
     finally:
         server.close()
     assert goal.parent == {"cup_1": "table_1", "book_1": "cup_1"}
@@ -262,7 +265,7 @@ def test_status_that_cannot_improve_is_not_retried(tree, task, status):
     server = StubChatServer([(status, "")])
     try:
         with pytest.raises(BackendError, match=f"HTTP {status} .*not retried"):
-            request_goal_tree(tree, task, config_for(server, retries=2))
+            request_goal_tree(tree, task, config_for(server))
     finally:
         server.close()
     assert len(server.requests) == 1
@@ -272,7 +275,7 @@ def test_status_that_cannot_improve_is_not_retried(tree, task, status):
 def test_transient_status_then_valid_reply_recovers(tree, task, status):
     server = StubChatServer([(status, ""), (200, goal_block(tree))])
     try:
-        goal = request_goal_tree(tree, task, config_for(server, retries=2))
+        goal = request_goal_tree(tree, task, config_for(server))
     finally:
         server.close()
     assert goal.parent == {"cup_1": "table_1", "book_1": "cup_1"}
@@ -287,8 +290,6 @@ def test_closed_port_is_backend_error(tree, task):
         backend=Backend.REMOTE,
         endpoint_url=f"http://127.0.0.1:{port}/v1/chat/completions",
         model_name="test-model",
-        timeout_seconds=5,
-        max_retries=1,
     )
     with pytest.raises(BackendError, match="failed after retries"):
         request_goal_tree(tree, task, config)
@@ -310,11 +311,12 @@ def test_redirect_does_not_forward_bearer_header(tree, task, monkeypatch):
     elsewhere = StubChatServer([(200, goal_block(tree))])
     server = StubChatServer([(302, elsewhere.url)])
     try:
-        goal = request_goal_tree(tree, task, config_for(server, retries=0))
+        goal = request_goal_tree(tree, task, config_for(server))
     finally:
         server.close()
         elsewhere.close()
     assert goal.parent == {"cup_1": "table_1", "book_1": "cup_1"}
+    assert len(server.requests) == 1
     assert server.requests[0]["auth"] == "Bearer sekrit"
     assert elsewhere.requests[0]["method"] == "GET"
     assert elsewhere.requests[0]["auth"] is None
@@ -329,7 +331,7 @@ from scene_forest.reorganize import Backend, BackendConfig
 from conftest import chain_tree
 
 config = BackendConfig(backend=Backend.REMOTE, endpoint_url=sys.argv[1],
-                       model_name="test-model", timeout_seconds=5, max_retries=0)
+                       model_name="test-model")
 goal = request_goal_tree(chain_tree("book_1", "cup_1"),
                          TaskSpec(kind=TaskKind.FREE_TEXT, raw_prompt="tidy"), config)
 print(sorted(goal.parent.items()))
