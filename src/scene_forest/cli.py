@@ -100,21 +100,15 @@ def _backend_config(backend_name: str) -> BackendConfig:
 
 
 def run_pipeline_for_scene(
-    scene_path: Path, task_text: str, backend_name: str, out_dir: Path, hand_off=None
-) -> int:
-    """Run one scene end to end and return its exit code.
+    scene_path: Path, task_text: str, config: BackendConfig
+) -> tuple[dict[str, str], dict] | int:
+    """The compute step of one scene: load, build, reorganize, plan, replay
+    and render its output texts.
 
-    The compute step (load, build, reorganize, plan, replay and rendering
-    of the output texts) runs here; the write step runs inline, or, when
-    `hand_off` is given, is passed to it as a no-argument callable that
-    returns the scene's exit code, and this call returns EXIT_OK. A batch
-    submits each remote scene's whole call to its `--jobs` threads, and
-    runs each rule scene on the calling thread, passing its `submit` as
-    `hand_off` only when `out_dir` is new: creating files overlaps with
-    computing, but a rewrite's few cheap syscalls cost more in GIL
-    switches on a thread. Every failure, expected or not, becomes stderr
-    lines prefixed with the scene file's stem, so one bad scene never
-    aborts a batch.
+    Returns the five output texts by file name and the `result.json` dict,
+    for `_write_scene` to write. On failure it prints the scene's stderr
+    lines, prefixed with the scene file's stem, and returns the exit code
+    instead, so one bad scene never aborts a batch.
     """
     scene = Path(scene_path).stem
     timings: dict[str, float] = {}
@@ -137,7 +131,7 @@ def run_pipeline_for_scene(
         initial = report.tree
         task = parse_task(task_text, record.objects)
         timed("parse")
-        goal = reorganize(initial, task, _backend_config(backend_name))
+        goal = reorganize(initial, task, config)
         timed("reorganize")
         trace = plan_moves(initial, goal)
         verified = execute_plan(initial, trace.plan) == goal
@@ -150,10 +144,10 @@ def run_pipeline_for_scene(
             "goal.dot": to_dot(goal),
         }
         timed("write")  # the rendering share; the write step adds its own time
-        result = {
+        return texts, {
             "scene_id": record.scene_id,
             "task": task_text,
-            "backend": backend_name,
+            "backend": config.backend.value,
             "plan_length": len(trace.plan),
             "staged_moves": trace.staged_moves,
             "verified": verified,
@@ -162,20 +156,19 @@ def run_pipeline_for_scene(
         }
     except Exception as exc:
         return _report(exc, scene)
-    job = functools.partial(_write_scene, scene, out_dir, texts, result)
-    if hand_off is None:
-        return job()
-    hand_off(job)
-    return EXIT_OK
 
 
-def _write_scene(scene: str, out_dir: Path, texts: dict[str, str], result: dict) -> int:
-    """The write step of one scene: create `out_dir`, write `texts` and
-    `result.json`, and return the scene's exit code.
+def _write_scene(scene: str, out_dir: Path, outcome: tuple[dict[str, str], dict] | int) -> int:
+    """The write step of one scene: given `run_pipeline_for_scene`'s texts
+    and result, create `out_dir`, write them and return the scene's exit
+    code; given its exit code, return that and touch nothing.
 
     Its time is added to the `write` timing when it starts, so a step that
     waited in a queue reports only its own work.
     """
+    if isinstance(outcome, int):
+        return outcome
+    texts, result = outcome
     start = time.perf_counter()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -203,9 +196,11 @@ _BACKLOG_PER_JOB = 4
 
 
 def cmd_pipeline(args) -> int:
+    config = _backend_config(args.backend)
     out_root = Path(args.out)
     if not args.batch:
-        return run_pipeline_for_scene(Path(args.scene), args.task, args.backend, out_root)
+        path = Path(args.scene)
+        return _write_scene(path.stem, out_root, run_pipeline_for_scene(path, args.task, config))
     scene_files = sorted(Path(args.batch).glob("*.json"))
     if not scene_files:
         _err(f"no scene files in {args.batch}")
@@ -231,15 +226,19 @@ def cmd_pipeline(args) -> int:
             codes.append(pending.popleft().result())
         pending.append(pool.submit(job))
 
+    # A remote scene runs whole on a thread, so round trips overlap. A rule scene
+    # is computed here; a thread creates its files while the next one computes,
+    # but a rewrite's few cheap syscalls cost more in GIL switches on a thread.
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         for path in scene_files:
-            scene = functools.partial(
-                run_pipeline_for_scene, path, args.task, args.backend, out_root / path.stem
-            )
+            compute = functools.partial(run_pipeline_for_scene, path, args.task, config)
+            write = functools.partial(_write_scene, path.stem, out_root / path.stem)
             if remote:
-                submit(scene)
+                submit(lambda compute=compute, write=write: write(compute()))
+            elif path.stem in existing:
+                codes.append(write(compute()))
             else:
-                codes.append(scene(None if path.stem in existing else submit))
+                submit(functools.partial(write, compute()))
         codes.extend(future.result() for future in pending)
     failed = sum(1 for c in codes if c != EXIT_OK)
     _err(f"processed {len(scene_files)} scenes, {failed} failed")
@@ -322,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except Exception as exc:
-        return _report(exc, Path(args.scene).stem if args.command == "parse" else None)
+        return _report(exc, Path(args.scene).stem if getattr(args, "scene", None) else None)
 
 
 def entry_point() -> None:

@@ -260,6 +260,8 @@ class TestCmdPipeline:
                 assert sorted(p.parent.name for p in out.glob("*/result.json")) == [
                     p.stem for p in good
                 ]
+                if round_ == "fresh":
+                    assert not (out / "scene_0002").exists(), jobs
                 lines = capsys.readouterr().err.splitlines()
                 assert len(lines) == len(failures) + 1, (jobs, round_)
                 for line, start in zip(lines, failures):
@@ -401,7 +403,7 @@ class TestCmdPipeline:
                 steady = steady + 1 if len(loads) == seen > 0 else 0
                 seen = len(loads)
             # The cap counts running write steps too, so only the scene whose
-            # hand-off waits for the oldest step is loaded past it.
+            # write step waits to be submitted is loaded past it.
             assert 0 < len(loads) <= cli_mod._BACKLOG_PER_JOB * jobs + 1
         finally:
             release.set()
@@ -507,6 +509,83 @@ class TestCmdPipeline:
             f"got {endpoint!r}"
         ]
         assert not out.exists()
+
+    @pytest.mark.parametrize("endpoint, message", [
+        (None, "remote backend requires SCENE_FOREST_ENDPOINT to be set"),
+        ("localhost:8000/v1",
+         "SCENE_FOREST_ENDPOINT must be an http(s) URL, got 'localhost:8000/v1'"),
+    ], ids=["unset", "no-scheme"])
+    def test_misconfigured_remote_batch_runs_no_scene(
+        self, tmp_path, monkeypatch, capsys, endpoint, message
+    ):
+        data = tmp_path / "ds"
+        assert main(["gen", "--seed", "1", "--count", "5", "--out", str(data)]) == EXIT_OK
+
+        def refuse(path):
+            raise AssertionError(f"{path} loaded")
+
+        monkeypatch.setattr(dataset_mod, "load_scene_record", refuse)
+        if endpoint is None:
+            monkeypatch.delenv("SCENE_FOREST_ENDPOINT", raising=False)
+        else:
+            monkeypatch.setenv("SCENE_FOREST_ENDPOINT", endpoint)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([
+            "pipeline", "--batch", str(data), "--task", "stack all", "--backend", "remote",
+            "--out", str(out),
+        ]) == EXIT_BACKEND
+        assert capsys.readouterr().err.splitlines() == [f"BackendError: {message}"]
+        assert not out.exists()
+
+    def test_misconfigured_backend_is_reported_before_the_scene_loads(
+        self, scene_file, tmp_path, monkeypatch, capsys
+    ):
+        record = json.loads(scene_file.read_text())
+        record["objects"][1]["mass_grams"] = 10**400
+        scene_file.write_text(json.dumps(record))
+        monkeypatch.setenv("SCENE_FOREST_ENDPOINT", "localhost:8000/v1")
+        out = tmp_path / "out"
+        assert main([
+            "pipeline", str(scene_file), "--task", "stack all", "--backend", "remote",
+            "--out", str(out),
+        ]) == EXIT_BACKEND
+        assert capsys.readouterr().err.splitlines() == [
+            "scene_0000: BackendError: SCENE_FOREST_ENDPOINT must be an http(s) URL, "
+            "got 'localhost:8000/v1'"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("backend", ["rule", "remote"])
+    def test_batch_computes_each_scene_through_the_module_global(
+        self, tmp_path, monkeypatch, backend
+    ):
+        # Tracing tools wrap `cli.run_pipeline_for_scene` and name each scene
+        # by the stem of its first argument.
+        data, out = tmp_path / "ds", tmp_path / "out"
+        assert main(["gen", "--seed", "1", "--count", "6", "--out", str(data)]) == EXIT_OK
+        monkeypatch.setattr(
+            cli_mod, "reorganize",
+            lambda tree, task, config: reorganize(tree, task, BackendConfig(backend=Backend.RULE)),
+        )
+        monkeypatch.setenv("SCENE_FOREST_ENDPOINT", "http://127.0.0.1:9/v1/chat/completions")
+        compute = cli_mod.run_pipeline_for_scene
+        calls = []
+
+        def counted(scene_path, *args):
+            calls.append(Path(scene_path))  # list.append is atomic across threads
+            return compute(scene_path, *args)
+
+        monkeypatch.setattr(cli_mod, "run_pipeline_for_scene", counted)
+        scenes = sorted(data.glob("*.json"))
+        # A fresh `--out`, then the same one again, whose scenes are rewritten.
+        for round_ in ("fresh", "rewrite"):
+            calls.clear()
+            assert main([
+                "pipeline", "--batch", str(data), "--task", "stack all", "--backend", backend,
+                "--out", str(out),
+            ]) == EXIT_OK
+            assert sorted(calls) == scenes, round_
 
 
 class TestParser:
