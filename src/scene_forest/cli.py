@@ -95,7 +95,7 @@ def _backend_config(backend_name: str) -> BackendConfig:
         )
     if not endpoint.lower().startswith(("http://", "https://")):
         raise BackendError(f"SCENE_FOREST_ENDPOINT must be an http(s) URL, got {endpoint!r}")
-    model = os.environ.get("SCENE_FOREST_MODEL", "gpt-4o")
+    model = os.environ.get("SCENE_FOREST_MODEL") or "gpt-4o"
     return BackendConfig(backend=Backend.REMOTE, endpoint_url=endpoint, model_name=model)
 
 

@@ -51,7 +51,8 @@ class BackendError(SceneForestError):
 
 
 class InvalidGoal(SceneForestError):
-    """A proposed goal tree violates conservation or tree validity."""
+    """A proposed goal tree is unusable: it re-roots the scene or is not a
+    valid tree, or a remote reply does not parse or breaks conservation."""
 
 
 class GoalParseError(SceneForestError):
@@ -85,10 +86,6 @@ class RootMismatch(SceneForestError):
 
 
 class PickNotClear(SceneForestError):
-    pass
-
-
-class SelfMove(SceneForestError):
     pass
 
 

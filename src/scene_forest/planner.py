@@ -26,7 +26,6 @@ from .errors import (
     IdMismatch,
     PickNotClear,
     RootMismatch,
-    SelfMove,
     UnknownId,
 )
 from .model import MoveAction, Plan, SceneTree
@@ -59,8 +58,8 @@ def diff_trees(initial: SceneTree, goal: SceneTree) -> set[str]:
 def execute_plan(tree: SceneTree, plan: Plan) -> SceneTree:
     """Apply the moves in order, enforcing pick/place legality throughout.
 
-    A clear object has nothing above it, so no legal move can create a
-    cycle.
+    A `MoveAction` never names its object as its destination, and a clear
+    object has nothing above it, so no legal move can create a cycle.
     """
     parent = dict(tree.parent)
     child_count = Counter(parent.values())
@@ -69,8 +68,6 @@ def execute_plan(tree: SceneTree, plan: Plan) -> SceneTree:
             raise UnknownId(f"unknown object {move.object!r}")
         if move.destination not in tree.nodes:
             raise UnknownId(f"unknown destination {move.destination!r}")
-        if move.object == move.destination:
-            raise SelfMove(f"{move.object} onto itself")
         if move.object == tree.root:
             raise PickNotClear(f"root {move.object} cannot be picked")
         if child_count[move.object]:

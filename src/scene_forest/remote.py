@@ -1,11 +1,12 @@
 """HTTP client for a chat-completion-style reorganization backend.
 
 Sends the serialized tree plus task as a chat request and parses the
-returned tree block. Each parsed reply then passes the goal gate,
-`reorganize.check_goal`, exactly once, here inside the retry loop: a reply
-that fails to parse or fails the gate is re-prompted with the violation
-text, up to `_MAX_RETRIES` times. The goal returned has passed the gate
-and is not checked again.
+returned tree block. Parsing is the conservation check: a reply that
+drops, repeats or invents an object fails it. Each parsed reply then passes
+the goal gate, `reorganize.check_goal` (root and validity), exactly once,
+here inside the retry loop: a reply that fails to parse or fails the gate
+is re-prompted with the violation text, up to `_MAX_RETRIES` times. The
+goal returned has passed the gate and is not checked again.
 
 The client is the standard library's `urllib.request`, one request per
 attempt. An attempt is retried when the connection fails or times out, the

@@ -1,10 +1,13 @@
 """Task-driven tree reorganization: deterministic rules or a remote model.
 
-Every backend output passes one goal gate, `check_goal`, exactly once:
-same root and same id set as the input (each object used once) and full
+A goal keeps the scene's objects by construction. Every rule goal is built
+by `_restack` over the scene's own nodes, each rebuilt stack a chain on the
+root; a remote reply is read by `treetext.parse_tree_block`, which rejects
+a missing, duplicated or unknown id. Every backend output then passes one
+goal gate, `check_goal`, exactly once: the same root as the input and full
 tree validity. Rule goals are checked in `reorganize`; remote goals are
 checked inside `remote.request_goal_tree`'s retry loop, where a failed
-check triggers a re-prompt, never a silent repair.
+parse or check triggers a re-prompt, never a silent repair.
 """
 from __future__ import annotations
 
@@ -73,42 +76,46 @@ def _stack_key(obj: ObjectInstance):
     return (fragility_rank(a.fragility), -a.mass_grams, obj.id)
 
 
-def _chain(base_parent: str, ordered_ids: list[str]) -> dict[str, str]:
-    parent = {}
-    below = base_parent
-    for node_id in ordered_ids:
-        parent[node_id] = below
-        below = node_id
-    return parent
+def _ordered(objects) -> list[str]:
+    """Ids in bottom-to-top stacking order."""
+    return [o.id for o in sorted(objects, key=_stack_key)]
+
+
+def _restack(tree: SceneTree, stacks) -> SceneTree:
+    """The goal that rebuilds each stack (disjoint lists of ids, bottom
+    first) as a chain on the root; every other object keeps its support.
+
+    Every rule goal is built here, over the scene's own nodes and root, so
+    it conserves the objects and, as each rebuilt stack sits on the root,
+    is a valid tree whenever `tree` is.
+    """
+    parent = dict(tree.parent)
+    for stack in stacks:
+        below = tree.root
+        for node_id in stack:
+            parent[node_id] = below
+            below = node_id
+    return SceneTree(root=tree.root, nodes=tree.nodes, parent=parent)
 
 
 def rule_stack_all(tree: SceneTree) -> SceneTree:
     """Single stack above the root: low fragility at the bottom, ties by
     mass descending, remaining ties by id."""
-    ordered = sorted(
-        (tree.nodes[n] for n in tree.nodes if n != tree.root), key=_stack_key
-    )
-    parent = _chain(tree.root, [o.id for o in ordered])
-    return SceneTree(root=tree.root, nodes=tree.nodes, parent=parent)
+    return _restack(tree, [_ordered(tree.nodes[n] for n in tree.parent)])
 
 
 def rule_unstack_all(tree: SceneTree) -> SceneTree:
     """Every non-root object directly on the root."""
-    parent = {n: tree.root for n in tree.nodes if n != tree.root}
-    return SceneTree(root=tree.root, nodes=tree.nodes, parent=parent)
+    return _restack(tree, [[n] for n in tree.parent])
 
 
 def rule_group_by_material(tree: SceneTree) -> SceneTree:
     """One stack per material, each internally ordered like rule_stack_all."""
     groups: dict[str, list[ObjectInstance]] = {}
-    for n, obj in tree.nodes.items():
-        if n != tree.root:
-            groups.setdefault(obj.attributes.material, []).append(obj)
-    parent: dict[str, str] = {}
-    for material in sorted(groups):
-        ordered = sorted(groups[material], key=_stack_key)
-        parent.update(_chain(tree.root, [o.id for o in ordered]))
-    return SceneTree(root=tree.root, nodes=tree.nodes, parent=parent)
+    for n in tree.parent:
+        obj = tree.nodes[n]
+        groups.setdefault(obj.attributes.material, []).append(obj)
+    return _restack(tree, [_ordered(group) for group in groups.values()])
 
 
 def rule_stack_object(tree: SceneTree, target: str) -> SceneTree:
@@ -128,15 +135,8 @@ def rule_stack_object(tree: SceneTree, target: str) -> SceneTree:
     members = [base]
     for n in members:
         members.extend(tree.children_of(n))
-    others = sorted(
-        (tree.nodes[n] for n in members if n != target), key=_stack_key
-    )
-    parent = dict(tree.parent)
-    for n in members:
-        del parent[n]
-    chain_ids = [o.id for o in others] + [target]
-    parent.update(_chain(tree.root, chain_ids))
-    return SceneTree(root=tree.root, nodes=tree.nodes, parent=parent)
+    others = _ordered(tree.nodes[n] for n in members if n != target)
+    return _restack(tree, [others + [target]])
 
 
 def check_physical_constraints(tree: SceneTree) -> tuple[ConstraintViolation, ...]:
@@ -173,13 +173,8 @@ def check_physical_constraints(tree: SceneTree) -> tuple[ConstraintViolation, ..
 
 
 def check_goal(initial: SceneTree, goal: SceneTree) -> None:
-    """The goal gate: conservation, same root, and validity."""
-    if goal.ids() != initial.ids():
-        missing = sorted(initial.ids() - goal.ids())
-        extra = sorted(goal.ids() - initial.ids())
-        raise InvalidGoal(
-            f"object conservation violated (missing: {missing}, extra: {extra})"
-        )
+    """The goal gate: same root, and validity. Conservation holds by
+    construction (see the module docstring)."""
     if goal.root != initial.root:
         raise InvalidGoal(f"goal root {goal.root} differs from scene root {initial.root}")
     violations = validate_tree(goal)

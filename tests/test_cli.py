@@ -30,7 +30,15 @@ from scene_forest.cli import (
 )
 from scene_forest.dataset import generate_synthetic_scene, save_scene_record
 from scene_forest.errors import AmbiguousReference
-from scene_forest.model import SceneRecord, SpatialPredicate, SpatialTriplet, TaskKind
+from scene_forest.model import (
+    FRAGILITY_LEVELS,
+    MATERIALS,
+    SceneRecord,
+    SpatialPredicate,
+    SpatialTriplet,
+    TaskKind,
+    canonicalize_id,
+)
 from scene_forest.reorganize import Backend, BackendConfig, parse_task, reorganize
 
 from conftest import make_object, make_table
@@ -586,6 +594,98 @@ class TestCmdPipeline:
                 "--out", str(out),
             ]) == EXIT_OK
             assert sorted(calls) == scenes, round_
+
+
+# The CLI boundary, rule backend: records that load, with captions and tasks
+# drawn from the accepted grammar and then edited token by token.
+_BOUNDARY_LABELS = ["cup", "box2", "mug_b", "pen", "coffee cup", "red box"]
+_CLOSED_TASKS = [
+    "stack all", "stack everything", "unstack", "unstack all", "unstack everything",
+    "group by material",
+]
+_ORDINALS = ["first", "second", "third", "fourth"]
+_EDIT_TOKENS = ["the", "is", "are", "on", "top", "of", "and", "second", "ghost", ".", ";"]
+
+
+@st.composite
+def boundary_scenes(draw):
+    """(record, task): a caption-only record of a random forest on `table_1`,
+    one caption per support edge, some edited; and a closed task or a
+    `stack the ...` one."""
+    objects = [make_table()]
+    counts: dict = {}
+    for label in draw(st.lists(st.sampled_from(_BOUNDARY_LABELS), max_size=8)):
+        counts[label] = counts.get(label, 0) + 1
+        objects.append(make_object(
+            canonicalize_id(label, counts[label]), label=label,
+            fragility=draw(st.sampled_from(FRAGILITY_LEVELS)),
+            mass=draw(st.sampled_from([50, 100, 2000])),
+            material=draw(st.sampled_from(MATERIALS[:3])),
+        ))
+
+    by_id = draw(st.booleans())  # else by id, label or ordinal and label
+
+    def reference(obj) -> str:
+        ordinal = int(obj.id.rsplit("_", 1)[1])
+        return draw(st.sampled_from([f"the {obj.id}"] if by_id else [
+            f"the {obj.id}", f"the {obj.label}",
+            f"the {_ORDINALS[min(ordinal, len(_ORDINALS)) - 1]} {obj.label}",
+        ]))
+
+    captions = []
+    for i, obj in enumerate(objects[1:], start=1):
+        support = objects[draw(st.integers(0, i - 1))]
+        relation = draw(st.sampled_from(["on", "on top of"]))
+        captions.append(f"{reference(obj)} is {relation} {reference(support)}.".split())
+    edits = st.tuples(
+        st.sampled_from(["drop", "dup", "swap", "replace"]),
+        st.integers(0, 20), st.integers(0, 20), st.sampled_from(_EDIT_TOKENS),
+    )
+    for op, which, at, token in draw(st.lists(edits, max_size=3)) if captions else ():
+        tokens = captions[which % len(captions)]
+        at %= len(tokens)
+        if op == "drop" and len(tokens) > 1:
+            del tokens[at]
+        elif op == "dup":
+            tokens.insert(at, tokens[at])
+        elif op == "swap":
+            tokens[at], tokens[-1] = tokens[-1], tokens[at]
+        elif op == "replace":
+            tokens[at] = token
+    if draw(st.booleans()):
+        task = draw(st.sampled_from(_CLOSED_TASKS))
+    else:
+        task = "stack " + reference(draw(st.sampled_from(objects)))
+    captions = tuple(" ".join(tokens).capitalize() for tokens in captions)
+    record = SceneRecord(scene_id="scene_0007", objects=tuple(objects), captions=captions)
+    return record, task
+
+
+def _run_main(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=boundary_scenes())
+def test_rule_cli_boundary(case):
+    record, task = case
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "scene_0007.json"
+        save_scene_record(record, path)
+        out = Path(directory) / "out"
+        for argv in (
+            ["parse", str(path)],
+            ["pipeline", str(path), "--task", task, "--out", str(out)],
+        ):
+            code, err = _run_main(argv)
+            assert code in (EXIT_OK, EXIT_IO, EXIT_SCHEMA, EXIT_PARSE, EXIT_UNSUPPORTED_TASK), err
+            assert all(line.startswith("scene_0007: ") for line in err.splitlines()), err
+        if code == EXIT_OK:
+            assert sorted(p.name for p in out.iterdir()) == sorted(PIPELINE_OUTPUTS)
+            assert json.loads((out / "result.json").read_text())["verified"] is True
 
 
 class TestParser:

@@ -8,7 +8,6 @@ from scene_forest.errors import (
     IdMismatch,
     PickNotClear,
     RootMismatch,
-    SelfMove,
     UnknownId,
 )
 from scene_forest.model import MoveAction, Plan, SceneTree
@@ -51,8 +50,6 @@ def apply_move(tree: SceneTree, move: MoveAction) -> SceneTree:
         raise UnknownId(f"unknown object {move.object!r}")
     if move.destination not in tree.nodes:
         raise UnknownId(f"unknown destination {move.destination!r}")
-    if move.object == move.destination:
-        raise SelfMove(f"{move.object} onto itself")
     if move.object == tree.root:
         raise PickNotClear(f"root {move.object} cannot be picked")
     carried = tree.children_of(move.object)
@@ -307,47 +304,41 @@ def test_plan_matches_reference(pair):
     assert execute_plan(initial, trace.plan) == goal
 
 
-def _raw_move(obj: str, dest: str) -> MoveAction:
-    """A MoveAction that skips the constructor's self-move check."""
-    move = object.__new__(MoveAction)
-    object.__setattr__(move, "object", obj)
-    object.__setattr__(move, "destination", dest)
-    return move
-
-
 @st.composite
 def mutated_plans(draw):
     """(initial, moves): a greedy plan with moves inserted or deleted.
 
-    Inserted moves name unknown ids, move an object onto itself, pick the
-    root, pick an object that carries others, or join two arbitrary ids.
+    Inserted moves name unknown ids, pick the root, pick an object that
+    carries others, or join two arbitrary ids. Each is a `MoveAction`,
+    which cannot be a self-move.
     """
     initial, goal = draw(tree_pairs())
     moves = list(plan_moves(initial, goal).plan.moves)
     ids = sorted(initial.nodes)
     carriers = sorted(set(initial.parent.values()) - {initial.root}) or ids
     any_id = st.sampled_from(ids)
+
+    def onto_other(obj: str) -> MoveAction:
+        others = [n for n in ids if n != obj] or ["ghost_1"]
+        return MoveAction(obj, draw(st.sampled_from(others)))
+
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(moves)))
         kind = draw(st.sampled_from(
-            ["unknown_object", "unknown_destination", "self", "root", "carrier",
-             "any", "delete"]))
+            ["unknown_object", "unknown_destination", "root", "carrier", "any", "delete"]))
         if kind == "delete":
             del moves[at:at + 1]
             continue
         if kind == "unknown_object":
-            move = _raw_move("ghost_1", draw(any_id))
+            move = MoveAction("ghost_1", draw(any_id))
         elif kind == "unknown_destination":
-            move = _raw_move(draw(any_id), "ghost_1")
-        elif kind == "self":
-            obj = draw(any_id)
-            move = _raw_move(obj, obj)
+            move = MoveAction(draw(any_id), "ghost_1")
         elif kind == "root":
-            move = _raw_move(initial.root, draw(any_id))
+            move = onto_other(initial.root)
         elif kind == "carrier":
-            move = _raw_move(draw(st.sampled_from(carriers)), draw(any_id))
+            move = onto_other(draw(st.sampled_from(carriers)))
         else:
-            move = _raw_move(draw(any_id), draw(any_id))
+            move = onto_other(draw(any_id))
         moves.insert(at, move)
     return initial, moves
 

@@ -236,6 +236,29 @@ def test_nested_body_on_every_attempt_exits_6(tmp_path, monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize("model, sent", [(None, "gpt-4o"), ("", "gpt-4o"), ("my-model", "my-model")])
+def test_model_name_from_environment(tmp_path, monkeypatch, model, sent):
+    # An empty SCENE_FOREST_MODEL counts as unset, like an empty endpoint.
+    scene = tmp_path / "scene_0000.json"
+    save_scene_record(generate_synthetic_scene(0, 0), scene)
+    assert main(["pipeline", str(scene), "--task", "unstack", "--out", str(tmp_path / "rule")]) == 0
+    server = StubChatServer([(200, (tmp_path / "rule" / "goal.tree.txt").read_text())])
+    monkeypatch.setenv("SCENE_FOREST_ENDPOINT", server.url)
+    if model is None:
+        monkeypatch.delenv("SCENE_FOREST_MODEL", raising=False)
+    else:
+        monkeypatch.setenv("SCENE_FOREST_MODEL", model)
+    try:
+        code = main([
+            "pipeline", str(scene), "--task", "unstack", "--backend", "remote",
+            "--out", str(tmp_path / "remote"),
+        ])
+    finally:
+        server.close()
+    assert code == 0
+    assert [r["body"]["model"] for r in server.requests] == [sent]
+
+
 def test_malformed_reply_shape_is_backend_error(tree, task):
     server = StubChatServer(every_attempt(
         (200, b'{"choices": []}'),
