@@ -596,6 +596,158 @@ class TestCmdPipeline:
             assert sorted(calls) == scenes, round_
 
 
+def _is_indented_dump(text: str) -> bool:
+    return text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+class TestSceneFiles:
+    """Which files a batch takes, how reading a scene fails, and the bytes
+    of `result.json`."""
+
+    def test_result_json_is_two_space_indented_json(self, scene_file, tmp_path):
+        data, out = tmp_path / "ds", tmp_path / "out"
+        assert main(["gen", "--seed", "1", "--count", "8", "--out", str(data)]) == EXIT_OK
+        for task in ("stack all", "unstack"):
+            assert main([
+                "pipeline", "--batch", str(data), "--task", task, "--out", str(out),
+            ]) == EXIT_OK
+            results = sorted(out.glob("*/result.json"))
+            assert len(results) == 8
+            for path in results:
+                assert _is_indented_dump(path.read_text(encoding="utf-8")), path
+        for task in ("  Stack ALL!", "stack all "):
+            single = tmp_path / "single"
+            assert main([
+                "pipeline", str(scene_file), "--task", task, "--out", str(single),
+            ]) == EXIT_OK
+            text = (single / "result.json").read_text(encoding="utf-8")
+            assert _is_indented_dump(text)
+            assert json.loads(text)["task"] == task
+
+    @pytest.mark.parametrize("spelling", ["plain", "trailing slash", "dot"])
+    def test_batch_takes_what_path_glob_takes(self, tmp_path, monkeypatch, capsys, spelling):
+        data, out = tmp_path / "ds", tmp_path / "out"
+        data.mkdir()
+        for name in ("a.json", ".hidden.json", "B.JSON"):
+            save_scene_record(generate_synthetic_scene(0, 0), data / name)
+        (data / "notes.txt").write_text("not a scene\n")
+        (data / "sub.json").mkdir()
+        (data / "nested").mkdir()
+        save_scene_record(generate_synthetic_scene(0, 1), data / "nested" / "c.json")
+        (data / "link.json").symlink_to(data / "nested" / "c.json")
+        batch = {"plain": str(data), "trailing slash": f"{data}/", "dot": "."}[spelling]
+        if spelling == "dot":
+            monkeypatch.chdir(data)
+        compute = cli_mod.run_pipeline_for_scene
+        calls = []
+
+        def recorded(scene_path, *args):
+            calls.append(str(scene_path))
+            return compute(scene_path, *args)
+
+        monkeypatch.setattr(cli_mod, "run_pipeline_for_scene", recorded)
+        assert main([
+            "pipeline", "--batch", batch, "--task", "stack all", "--out", str(out),
+        ]) == EXIT_IO
+        expected = sorted(Path(batch).glob("*.json"))
+        assert [Path(p).name for p in expected] == [
+            ".hidden.json", "a.json", "link.json", "sub.json"
+        ]
+        assert sorted(calls) == [str(p) for p in expected]
+        assert sorted(p.name for p in out.iterdir()) == [".hidden", "a", "link"]
+        sub = expected[-1]
+        assert capsys.readouterr().err.splitlines() == [
+            f"sub: IoError: cannot read {sub}: [Errno {errno.EISDIR}] "
+            f"{os.strerror(errno.EISDIR)}: '{sub}'",
+            "processed 4 scenes, 1 failed",
+        ]
+
+    def test_batch_of_no_scene_files(self, tmp_path, capsys):
+        (tmp_path / "B.JSON").write_text("{}")
+        for batch in (tmp_path, tmp_path / "absent", tmp_path / "B.JSON"):
+            assert main([
+                "pipeline", "--batch", str(batch), "--task", "stack all",
+                "--out", str(tmp_path / "out"),
+            ]) == EXIT_IO
+            assert capsys.readouterr().err == f"no scene files in {batch}\n"
+
+    def test_scene_path_that_is_a_directory(self, tmp_path, capsys):
+        path = tmp_path / "scene_0000.json"
+        path.mkdir()
+        assert main([
+            "pipeline", str(path), "--task", "stack all", "--out", str(tmp_path / "out"),
+        ]) == EXIT_IO
+        assert capsys.readouterr().err.splitlines() == [
+            f"scene_0000: IoError: cannot read {path}: [Errno {errno.EISDIR}] "
+            f"{os.strerror(errno.EISDIR)}: '{path}'"
+        ]
+
+    def test_missing_scene_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        missing = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
+        assert main(["pipeline", "./nope.json", "--task", "stack all", "--out", "out"]) == EXIT_IO
+        assert main(["parse", "./nope.json"]) == EXIT_IO
+        # `pipeline` names the file as `Path` spells it; `parse` as it was given.
+        assert capsys.readouterr().err.splitlines() == [
+            f"nope: IoError: cannot read nope.json: {missing}: 'nope.json'",
+            f"nope: IoError: cannot read ./nope.json: {missing}: 'nope.json'",
+        ]
+
+    def test_record_that_is_not_utf8(self, scene_file, tmp_path, capsys):
+        data = scene_file.read_bytes()
+        at = data.index(b"scene_0000")
+        scene_file.write_bytes(data[:at] + b"\xff" + data[at:])
+        assert main([
+            "pipeline", str(scene_file), "--task", "stack all", "--out", str(tmp_path / "out"),
+        ]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.splitlines() == [
+            f"scene_0000: SchemaError: {scene_file} is not UTF-8: 'utf-8' codec can't "
+            f"decode byte 0xff in position {at}: invalid start byte"
+        ]
+
+    def test_record_with_a_byte_order_mark(self, scene_file, tmp_path, capsys):
+        scene_file.write_bytes(b"\xef\xbb\xbf" + scene_file.read_bytes())
+        assert main([
+            "pipeline", str(scene_file), "--task", "stack all", "--out", str(tmp_path / "out"),
+        ]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.splitlines() == [
+            f"scene_0000: SchemaError: invalid JSON in {scene_file}: Unexpected UTF-8 BOM "
+            "(decode using utf-8-sig): line 1 column 1 (char 0)"
+        ]
+
+    def test_crlf_record_gives_the_outputs_of_the_lf_one(
+        self, scene_file, tmp_path, monkeypatch
+    ):
+        # Constant stage timings make result.json byte-for-byte repeatable.
+        monkeypatch.setattr(cli_mod, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        crlf = tmp_path / "crlf" / scene_file.name
+        crlf.parent.mkdir()
+        crlf.write_bytes(scene_file.read_bytes().replace(b"\n", b"\r\n"))
+        for path, out in ((scene_file, "lf"), (crlf, "crlf")):
+            assert main([
+                "pipeline", str(path), "--task", "stack all", "--out", str(tmp_path / out),
+            ]) == EXIT_OK
+        for name in PIPELINE_OUTPUTS:
+            assert (tmp_path / "crlf" / name).read_bytes() == (
+                tmp_path / "lf" / name
+            ).read_bytes(), name
+
+    def test_write_error_names_the_file_as_path_spells_it(
+        self, scene_file, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["pipeline", str(scene_file), "--task", "stack all", "--out", "./out/"]
+        assert main(argv) == EXIT_OK
+        (tmp_path / "out" / "goal.dot").unlink()
+        (tmp_path / "out" / "goal.dot").mkdir()
+        capsys.readouterr()
+        assert main(argv) == EXIT_IO
+        assert capsys.readouterr().err.splitlines() == [
+            f"scene_0000: IsADirectoryError: [Errno {errno.EISDIR}] "
+            f"{os.strerror(errno.EISDIR)}: 'out/goal.dot'"
+        ]
+
+
 # The CLI boundary, rule backend: records that load, with captions and tasks
 # drawn from the accepted grammar and then edited token by token.
 _BOUNDARY_LABELS = ["cup", "box2", "mug_b", "pen", "coffee cup", "red box"]
