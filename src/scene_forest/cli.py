@@ -100,7 +100,7 @@ def _backend_config(backend_name: str) -> BackendConfig:
 
 
 def run_pipeline_for_scene(
-    scene_path: Path, task_text: str, config: BackendConfig
+    scene_path: str, task_text: str, config: BackendConfig
 ) -> tuple[dict[str, str], dict] | int:
     """The compute step of one scene: load, build, reorganize, plan, replay
     and render its output texts.
@@ -110,7 +110,6 @@ def run_pipeline_for_scene(
     lines, prefixed with the scene file's stem, and returns the exit code
     instead, so one bad scene never aborts a batch.
     """
-    scene = Path(scene_path).stem
     timings: dict[str, float] = {}
     lap = time.perf_counter()
 
@@ -125,6 +124,7 @@ def run_pipeline_for_scene(
         timed("load")
         report = build_tree(_scene_triplets(record), record.objects)
         if not report.success:
+            scene = Path(scene_path).stem
             for v in report.violations:
                 _err(f"{scene}: {v.kind.value}: {v.detail}")
             return EXIT_PARSE
@@ -155,10 +155,61 @@ def run_pipeline_for_scene(
             "diagnostics": [],
         }
     except Exception as exc:
-        return _report(exc, scene)
+        return _report(exc, Path(scene_path).stem)
 
 
-def _write_scene(scene: str, out_dir: Path, outcome: tuple[dict[str, str], dict] | int) -> int:
+def _result_json(result: dict) -> str:
+    """`json.dumps(result, indent=2) + "\n"` for `run_pipeline_for_scene`'s
+    result, without the pure-Python encoder that `indent` selects.
+
+    Keys keep their order; strings are escaped by `json.dumps` and floats
+    spelled by `float.__repr__`, as the encoder does. Stage names and the
+    backend are fixed tokens that need no escaping. `diagnostics` is always
+    empty, which `json.dumps` lays out alike with and without `indent`.
+    """
+    timings = ",\n".join(f'    "{stage}": {ms!r}' for stage, ms in result["timings_ms"].items())
+    return (
+        "{\n"
+        f'  "scene_id": {json.dumps(result["scene_id"])},\n'
+        f'  "task": {json.dumps(result["task"])},\n'
+        f'  "backend": "{result["backend"]}",\n'
+        f'  "plan_length": {result["plan_length"]},\n'
+        f'  "staged_moves": {result["staged_moves"]},\n'
+        f'  "verified": {"true" if result["verified"] else "false"},\n'
+        f'  "timings_ms": {{\n{timings}\n  }},\n'
+        f'  "diagnostics": {json.dumps(result["diagnostics"])}\n'
+        "}\n"
+    )
+
+
+def _child(directory: str, name: str) -> str:
+    """`str(Path(directory) / name)`, for a directory already spelled as
+    `str(Path(...))` and a name without a slash. The name `""` gives the
+    prefix that joins any other name."""
+    if name == ".":
+        return directory
+    return name if directory == "." else os.path.join(directory, name)
+
+
+def _stem(name: str) -> str:
+    """`Path(name).stem` of a file name."""
+    dot = name.rfind(".")
+    return name[:dot] if 0 < dot < len(name) - 1 else name
+
+
+def _make_dir(path: str) -> None:
+    """`Path(path).mkdir(parents=True, exist_ok=True)` in one syscall when
+    the parent exists."""
+    try:
+        os.mkdir(path)
+    except FileNotFoundError:  # a missing parent: pathlib creates the chain
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError:
+        if not os.path.isdir(path):
+            raise
+
+
+def _write_scene(scene: str, out_dir: str, outcome: tuple[dict[str, str], dict] | int) -> int:
     """The write step of one scene: given `run_pipeline_for_scene`'s texts
     and result, create `out_dir`, write them and return the scene's exit
     code; given its exit code, return that and touch nothing.
@@ -171,11 +222,12 @@ def _write_scene(scene: str, out_dir: Path, outcome: tuple[dict[str, str], dict]
     texts, result = outcome
     start = time.perf_counter()
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        _make_dir(out_dir)
+        prefix = _child(out_dir, "")
         for name, text in texts.items():
-            _write_in_place(out_dir / name, text)
+            _write_in_place(prefix + name, text)
         result["timings_ms"]["write"] += (time.perf_counter() - start) * 1000.0
-        _write_in_place(out_dir / "result.json", json.dumps(result, indent=2) + "\n")
+        _write_in_place(prefix + "result.json", _result_json(result))
     except Exception as exc:
         return _report(exc, scene)
     if not result["verified"]:
@@ -197,12 +249,20 @@ _BACKLOG_PER_JOB = 4
 
 def cmd_pipeline(args) -> int:
     config = _backend_config(args.backend)
-    out_root = Path(args.out)
+    # Paths are strings, spelled once here as `Path` spells them.
+    out_root = str(Path(args.out))
     if not args.batch:
         path = Path(args.scene)
-        return _write_scene(path.stem, out_root, run_pipeline_for_scene(path, args.task, config))
-    scene_files = sorted(Path(args.batch).glob("*.json"))
-    if not scene_files:
+        return _write_scene(
+            path.stem, out_root, run_pipeline_for_scene(str(path), args.task, config)
+        )
+    batch = str(Path(args.batch))
+    try:
+        with os.scandir(batch) as entries:
+            names = sorted(entry.name for entry in entries if entry.name.endswith(".json"))
+    except OSError:  # `Path.glob` decides between no scene files and an error
+        names = sorted(path.name for path in Path(batch).glob("*.json"))
+    if not names:
         _err(f"no scene files in {args.batch}")
         return EXIT_IO
 
@@ -229,19 +289,21 @@ def cmd_pipeline(args) -> int:
     # A remote scene runs whole on a thread, so round trips overlap. A rule scene
     # is computed here; a thread creates its files while the next one computes,
     # but a rewrite's few cheap syscalls cost more in GIL switches on a thread.
+    prefix = _child(batch, "")
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for path in scene_files:
-            compute = functools.partial(run_pipeline_for_scene, path, args.task, config)
-            write = functools.partial(_write_scene, path.stem, out_root / path.stem)
+        for name in names:
+            scene = _stem(name)
+            compute = functools.partial(run_pipeline_for_scene, prefix + name, args.task, config)
+            write = functools.partial(_write_scene, scene, _child(out_root, scene))
             if remote:
                 submit(lambda compute=compute, write=write: write(compute()))
-            elif path.stem in existing:
+            elif scene in existing:
                 codes.append(write(compute()))
             else:
                 submit(functools.partial(write, compute()))
         codes.extend(future.result() for future in pending)
     failed = sum(1 for c in codes if c != EXIT_OK)
-    _err(f"processed {len(scene_files)} scenes, {failed} failed")
+    _err(f"processed {len(names)} scenes, {failed} failed")
     return max(codes)
 
 

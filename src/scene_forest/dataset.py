@@ -155,10 +155,31 @@ def record_to_dict(record: SceneRecord) -> dict:
     return data
 
 
+# Bytes asked of each read: more than a generated record holds, so a scene
+# file takes one read and the read that finds its end.
+_READ_SIZE = 1 << 16
+
+
 def load_scene_record(path: str | Path) -> SceneRecord:
+    """Read and check one scene record.
+
+    The file is read on a raw descriptor, three syscalls and the read that
+    finds its end, with none of the buffer and text layers of
+    `Path.read_text`. Line ends are not translated, so in an invalid-JSON
+    message the `(char N)` offset counts the CRs of a CRLF file.
+    """
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _READ_SIZE):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        raw = b"".join(chunks).decode("utf-8")
     except OSError as exc:
+        # Named as `Path` spells it, also when the read fails on a directory.
+        exc.filename = str(Path(path))
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path} is not UTF-8: {exc}") from exc

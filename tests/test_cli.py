@@ -13,7 +13,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scene_forest import cli as cli_mod
 from scene_forest import dataset as dataset_mod
@@ -746,6 +746,68 @@ class TestSceneFiles:
             f"scene_0000: IsADirectoryError: [Errno {errno.EISDIR}] "
             f"{os.strerror(errno.EISDIR)}: 'out/goal.dot'"
         ]
+
+    def test_malformed_crlf_record_offset_counts_the_crs(self, tmp_path, capsys):
+        # Line ends are not translated, so json.loads sees the bytes' own offsets.
+        text = '{\r\n  "scene_id": "scene_0000",\r\n  "objects": [,]\r\n}\r\n'
+        path = tmp_path / "scene_0000.json"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError) as parsed:
+            json.loads(text)
+        assert main(["parse", str(path)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err.splitlines() == [
+            f"scene_0000: SchemaError: invalid JSON in {path}: {parsed.value}"
+        ]
+
+
+_STAGES = ("load", "parse", "reorganize", "plan", "write")
+_any_text = st.text(st.characters(exclude_categories=()))
+_timing = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from([0.0, 1e-05, 1e16])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scene_id=_any_text, task=_any_text, backend=st.sampled_from(["rule", "remote"]),
+    plan_length=st.integers(0, 10**6), staged_moves=st.integers(0, 10**6),
+    verified=st.booleans(), timings=st.lists(_timing, min_size=5, max_size=5),
+)
+@example(
+    scene_id='sc"ène\\\x00\x1f\ud800', task='  Stack ALL!\n\t"\\', backend="rule",
+    plan_length=0, staged_moves=0, verified=False, timings=[0.0, 1e-05, 1e16, 0.5, 3.0],
+)
+def test_result_json_matches_json_dumps_indent_2(
+    scene_id, task, backend, plan_length, staged_moves, verified, timings
+):
+    result = {
+        "scene_id": scene_id, "task": task, "backend": backend,
+        "plan_length": plan_length, "staged_moves": staged_moves, "verified": verified,
+        "timings_ms": dict(zip(_STAGES, timings)), "diagnostics": [],
+    }
+    assert cli_mod._result_json(result) == json.dumps(result, indent=2) + "\n"
+
+
+_file_names = st.text(
+    st.characters(exclude_characters="/\x00"), min_size=1
+).filter(lambda name: name != ".")
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=_file_names | st.sampled_from(["a.", ".json", "a.b.json", "..", "..json", "a..b"]))
+def test_stem_is_path_stem(name):
+    assert cli_mod._stem(name) == Path(name).stem
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    directory=st.sampled_from([".", "/", "//", "a", "./a/", "/a//b/.", "../a", "a/./b"]),
+    name=_file_names | st.sampled_from([".", "..", "a.json"]),
+)
+def test_child_is_path_join(directory, name):
+    directory = str(Path(directory))
+    joined = str(Path(directory) / name)
+    assert cli_mod._child(directory, name) == joined
+    if name != ".":  # the prefix joins every other name
+        assert cli_mod._child(directory, "") + name == joined
 
 
 # The CLI boundary, rule backend: records that load, with captions and tasks
