@@ -7,6 +7,7 @@ data; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -162,8 +163,9 @@ def _result_json(result: dict) -> str:
     """`json.dumps(result, indent=2) + "\n"` for `run_pipeline_for_scene`'s
     result, without the pure-Python encoder that `indent` selects.
 
-    Keys keep their order; strings are escaped by `json.dumps` and floats
-    spelled by `float.__repr__`, as the encoder does. Stage names and the
+    The keys are those `run_pipeline_for_scene` builds, in its order, so a
+    key added there must be added here. Strings are escaped by `json.dumps`
+    and floats spelled by `float.__repr__`, as the encoder does. Stage names and the
     backend are fixed tokens that need no escaping. `diagnostics` is always
     empty, which `json.dumps` lays out alike with and without `indent`.
     """
@@ -197,18 +199,6 @@ def _stem(name: str) -> str:
     return name[:dot] if 0 < dot < len(name) - 1 else name
 
 
-def _make_dir(path: str) -> None:
-    """`Path(path).mkdir(parents=True, exist_ok=True)` in one syscall when
-    the parent exists."""
-    try:
-        os.mkdir(path)
-    except FileNotFoundError:  # a missing parent: pathlib creates the chain
-        Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError:
-        if not os.path.isdir(path):
-            raise
-
-
 def _write_scene(scene: str, out_dir: str, outcome: tuple[dict[str, str], dict] | int) -> int:
     """The write step of one scene: given `run_pipeline_for_scene`'s texts
     and result, create `out_dir`, write them and return the scene's exit
@@ -222,7 +212,16 @@ def _write_scene(scene: str, out_dir: str, outcome: tuple[dict[str, str], dict] 
     texts, result = outcome
     start = time.perf_counter()
     try:
-        _make_dir(out_dir)
+        # As `Path.mkdir(parents=True, exist_ok=True)`: one syscall when the parent
+        # exists, and below a file the error names `out_dir`, where `os.makedirs`
+        # would name the first missing directory above it.
+        try:
+            os.mkdir(out_dir)
+        except FileNotFoundError:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError:
+            if not os.path.isdir(out_dir):
+                raise
         prefix = _child(out_dir, "")
         for name, text in texts.items():
             _write_in_place(prefix + name, text)
@@ -260,8 +259,12 @@ def cmd_pipeline(args) -> int:
     try:
         with os.scandir(batch) as entries:
             names = sorted(entry.name for entry in entries if entry.name.endswith(".json"))
-    except OSError:  # `Path.glob` decides between no scene files and an error
-        names = sorted(path.name for path in Path(batch).glob("*.json"))
+    except OSError as exc:
+        # `Path.glob` found no files in a missing, looping, non-directory or
+        # unreadable path; any other error is reported.
+        if exc.errno not in (errno.ENOENT, errno.ELOOP, errno.ENOTDIR, errno.EACCES):
+            raise
+        names = []
     if not names:
         _err(f"no scene files in {args.batch}")
         return EXIT_IO

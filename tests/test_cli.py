@@ -664,12 +664,46 @@ class TestSceneFiles:
 
     def test_batch_of_no_scene_files(self, tmp_path, capsys):
         (tmp_path / "B.JSON").write_text("{}")
-        for batch in (tmp_path, tmp_path / "absent", tmp_path / "B.JSON"):
+        (tmp_path / "loop").symlink_to(tmp_path / "loop")
+        for batch in (tmp_path, tmp_path / "absent", tmp_path / "B.JSON", tmp_path / "loop"):
             assert main([
                 "pipeline", "--batch", str(batch), "--task", "stack all",
                 "--out", str(tmp_path / "out"),
             ]) == EXIT_IO
             assert capsys.readouterr().err == f"no scene files in {batch}\n"
+
+    def test_batch_out_below_a_file_names_each_scene_directory(self, tmp_path, capsys):
+        data, blocker = tmp_path / "ds", tmp_path / "file"
+        assert main(["gen", "--seed", "1", "--count", "3", "--out", str(data)]) == EXIT_OK
+        blocker.write_text("")
+        out = blocker / "out"
+        capsys.readouterr()
+        assert main([
+            "pipeline", "--batch", str(data), "--task", "stack all", "--out", str(out),
+        ]) == EXIT_IO
+        lines = capsys.readouterr().err.splitlines()
+        assert sorted(lines[:-1]) == [
+            f"scene_000{i}: NotADirectoryError: [Errno {errno.ENOTDIR}] "
+            f"{os.strerror(errno.ENOTDIR)}: '{out / f'scene_000{i}'}'"
+            for i in range(3)
+        ]
+        assert lines[-1] == "processed 3 scenes, 3 failed"
+
+    def test_result_json_has_the_computed_keys(self, scene_file, tmp_path, monkeypatch):
+        compute = cli_mod.run_pipeline_for_scene
+        keys = []
+
+        def recorded(*args):
+            outcome = compute(*args)
+            keys.extend(outcome[1])
+            return outcome
+
+        monkeypatch.setattr(cli_mod, "run_pipeline_for_scene", recorded)
+        out = tmp_path / "out"
+        assert main([
+            "pipeline", str(scene_file), "--task", "stack all", "--out", str(out),
+        ]) == EXIT_OK
+        assert list(json.loads((out / "result.json").read_text(encoding="utf-8"))) == keys
 
     def test_scene_path_that_is_a_directory(self, tmp_path, capsys):
         path = tmp_path / "scene_0000.json"
