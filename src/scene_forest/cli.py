@@ -31,7 +31,7 @@ from .model import SceneRecord
 from .planner import execute_plan, plan_moves
 from .reorganize import Backend, BackendConfig, parse_task, reorganize
 from .treebuild import build_tree, to_dot
-from .treetext import serialize_tree
+from .treetext import serialize_tree, text_table
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -76,7 +76,7 @@ def _scene_triplets(record: SceneRecord):
 
 
 def cmd_parse(args) -> int:
-    record = dataset_mod.load_scene_record(args.scene)
+    record = dataset_mod.load_scene_record(str(Path(args.scene)))
     # json.dumps's layout, unescaped: ids match model._ID_RE, predicates are fixed tokens.
     sys.stdout.write("".join([
         f'{{"subject": "{t.subject}", "predicate": "{t.predicate.value}", '
@@ -137,12 +137,15 @@ def run_pipeline_for_scene(
         trace = plan_moves(initial, goal)
         verified = execute_plan(initial, trace.plan) == goal
         timed("plan")
+        # The goal holds the initial tree's objects: a rule goal shares its
+        # `nodes`, and a remote goal's ids were checked against them.
+        table = text_table(initial.nodes)
         texts = {
-            "initial.tree.txt": serialize_tree(initial),
-            "goal.tree.txt": serialize_tree(goal),
+            "initial.tree.txt": serialize_tree(initial, table),
+            "goal.tree.txt": serialize_tree(goal, table),
             "plan.txt": trace.plan.to_text(),
-            "initial.dot": to_dot(initial),
-            "goal.dot": to_dot(goal),
+            "initial.dot": to_dot(initial, table),
+            "goal.dot": to_dot(goal, table),
         }
         timed("write")  # the rendering share; the write step adds its own time
         return texts, {

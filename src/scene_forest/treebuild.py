@@ -7,6 +7,10 @@ attached directly to the root.
 
 Both cycle checks rest on one memoised walk over the parent map that visits
 each node once: O(n), plus a sort for `validate_tree`'s report order.
+
+`to_dot` writes the DOT header and node block from a scene's
+`treetext.TextTable`, the same for every tree over its objects, and adds
+only the tree's sorted edge lines.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import ObjectInstance, SceneTree, SpatialTriplet
-from .treetext import format_mass
+from .treetext import TextTable, text_table
 
 SURFACE_LABELS = {"table", "desk", "shelf"}
 
@@ -208,14 +212,13 @@ def validate_tree(tree: SceneTree) -> list[Violation]:
     return violations
 
 
-def to_dot(tree: SceneTree) -> str:
-    """Deterministic DOT rendering (parent -> child) for figure export."""
-    lines = ["digraph scene {", "  rankdir=BT;"]
-    for node_id in sorted(tree.nodes):
-        attrs = tree.nodes[node_id].attributes
-        label = f"{node_id}\\n[{attrs.material}, {format_mass(attrs.mass_grams)}]"
-        lines.append(f'  "{node_id}" [label="{label}"];')
-    for child in sorted(tree.parent):
-        lines.append(f'  "{tree.parent[child]}" -> "{child}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def to_dot(tree: SceneTree, table: TextTable | None = None) -> str:
+    """Deterministic DOT rendering (parent -> child) for figure export.
+
+    The header and node block come from `table`, which must hold every
+    object of `tree`; by default it is built from `tree.nodes`."""
+    if table is None:
+        table = text_table(tree.nodes)
+    parent = tree.parent
+    edges = [f'  "{parent[child]}" -> "{child}";\n' for child in sorted(parent)]
+    return table.dot_nodes + "".join(edges) + "}\n"

@@ -4,8 +4,16 @@ One line per node in pre-order, children in lexicographic id order,
 indentation of two spaces per depth level. Node lines carry the attribute
 summary; parsing only needs the ids and indentation, attributes are
 recovered from the object registry.
+
+A scene's objects are formatted once, into a `TextTable`: each object's
+tree line without its indentation, and the DOT header and node block that
+`treebuild.to_dot` shares. Trees over the same objects (a scene's initial
+and goal trees) render from one table; each renderer builds one from the
+tree's nodes when it is given none.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .errors import (
     DuplicateObject,
@@ -24,21 +32,46 @@ def format_mass(mass_grams: float) -> str:
     return repr(float(mass_grams))
 
 
-def serialize_tree(tree: SceneTree) -> str:
-    """Render the tree block, deterministic and byte-stable."""
-    lines = ["TREE"]
-    depths = {tree.root: 0}
-    for node_id in tree.preorder():
-        if node_id != tree.root:
-            depths[node_id] = depths[tree.parent[node_id]] + 1
-        a = tree.nodes[node_id].attributes
-        lines.append(
-            "  " * depths[node_id]
-            + f"{node_id} [material={a.material}, mass={format_mass(a.mass_grams)}, "
-            + f"fragility={a.fragility}, transparency={a.transparency}]"
+class TextTable(NamedTuple):
+    """The per-object texts of one scene's renderings."""
+
+    lines: dict[str, str]  # id -> tree line without indentation
+    dot_nodes: str  # DOT header and node lines in sorted id order
+
+
+def text_table(nodes: dict[str, ObjectInstance]) -> TextTable:
+    """Format each object once, for every tree and DOT file over `nodes`."""
+    lines = {}
+    dot = ["digraph scene {\n  rankdir=BT;\n"]
+    for node_id in sorted(nodes):
+        a = nodes[node_id].attributes
+        mass = format_mass(a.mass_grams)
+        lines[node_id] = (
+            f"{node_id} [material={a.material}, mass={mass}, "
+            f"fragility={a.fragility}, transparency={a.transparency}]"
         )
-    lines.append("END")
-    return "\n".join(lines) + "\n"
+        dot.append(f'  "{node_id}" [label="{node_id}\\n[{a.material}, {mass}]"];\n')
+    return TextTable(lines, "".join(dot))
+
+
+def serialize_tree(tree: SceneTree, table: TextTable | None = None) -> str:
+    """Render the tree block, deterministic and byte-stable. `table` must
+    hold every object of `tree`; by default it is built from `tree.nodes`."""
+    if table is None:
+        table = text_table(tree.nodes)
+    node_lines = table.lines
+    children = tree._children
+    out = ["TREE"]
+    stack = [(tree.root, "")]
+    while stack:
+        node_id, indent = stack.pop()
+        out.append(indent + node_lines[node_id])
+        kids = children.get(node_id)
+        if kids:
+            indent += "  "
+            stack.extend([(kid, indent) for kid in reversed(kids)])
+    out.append("END\n")
+    return "\n".join(out)
 
 
 def parse_tree_block(text: str, registry: list[ObjectInstance]) -> SceneTree:

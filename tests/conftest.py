@@ -193,19 +193,61 @@ def arrangements(draw, tree: SceneTree) -> SceneTree:
 
 
 @st.composite
-def scene_trees(draw, max_objects: int = 30) -> SceneTree:
+def scene_trees(
+    draw, max_objects: int = 30, masses=st.sampled_from([50, 100, 100.5, 2000])
+) -> SceneTree:
     """A tree of up to `max_objects` objects on `table_1`, with ids whose
     string and numeric orders differ and attributes drawn from few values,
-    so that ties occur."""
+    so that ties occur. Masses are drawn from `masses`."""
     n = draw(st.integers(0, max_objects))
     objects = [make_table()] + [
         make_object(
             f"box_{i + 1}",
             fragility=draw(st.sampled_from(FRAGILITY_LEVELS)),
-            mass=draw(st.sampled_from([50, 100, 100.5, 2000])),
+            mass=draw(masses),
             material=draw(st.sampled_from(MATERIALS[:3])),
         )
         for i in range(n)
     ]
     nodes = {o.id: o for o in objects}
     return draw(arrangements(SceneTree(root="table_1", nodes=nodes, parent={})))
+
+
+# Reference renderers: the tree-text and DOT renderers as they were before a
+# scene's object texts were shared between its trees, kept verbatim.
+
+def reference_format_mass(mass_grams: float) -> str:
+    """Decimal integer when integral, else shortest round-trip decimal."""
+    if float(mass_grams) == int(mass_grams):
+        return str(int(mass_grams))
+    return repr(float(mass_grams))
+
+
+def reference_serialize_tree(tree: SceneTree) -> str:
+    """Render the tree block, deterministic and byte-stable."""
+    lines = ["TREE"]
+    depths = {tree.root: 0}
+    for node_id in tree.preorder():
+        if node_id != tree.root:
+            depths[node_id] = depths[tree.parent[node_id]] + 1
+        a = tree.nodes[node_id].attributes
+        lines.append(
+            "  " * depths[node_id]
+            + f"{node_id} [material={a.material}, mass={reference_format_mass(a.mass_grams)}, "
+            + f"fragility={a.fragility}, transparency={a.transparency}]"
+        )
+    lines.append("END")
+    return "\n".join(lines) + "\n"
+
+
+def reference_to_dot(tree: SceneTree) -> str:
+    """Deterministic DOT rendering (parent -> child) for figure export."""
+    lines = ["digraph scene {", "  rankdir=BT;"]
+    for node_id in sorted(tree.nodes):
+        attrs = tree.nodes[node_id].attributes
+        label = f"{node_id}\\n[{attrs.material}, {reference_format_mass(attrs.mass_grams)}]"
+        lines.append(f'  "{node_id}" [label="{label}"];')
+    for child in sorted(tree.parent):
+        lines.append(f'  "{tree.parent[child]}" -> "{child}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -2,7 +2,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scene_forest import captions as caption_mod
@@ -244,12 +244,15 @@ def test_resolve_matches_reference(registry, phrase):
     registry=registries(),
     phrases=st.lists(_PHRASES.filter(lambda p: "." not in p), min_size=2, max_size=4),
 )
+@example(registry=[], phrases=["cup", " ,"])
 def test_caption_resolves_as_reference(registry, phrases):
     # Every reference of a caption resolves through one index, as if each
     # were resolved alone against the whole registry. A "." would end the
-    # sentence inside a phrase, so the phrases here carry none.
+    # sentence inside a phrase, so the phrases here carry none. The caption
+    # delimits each phrase without its surrounding blanks, so the parser
+    # echoes the stripped phrase in an error message.
     caption = " and ".join(f"{a} is on {b}" for a, b in zip(phrases, phrases[1:]))
-    expected = [_outcome(reference_resolve, p, registry) for p in phrases]
+    expected = [_outcome(reference_resolve, p.strip(), registry) for p in phrases]
     try:
         result = parse_caption(caption, registry)
     except (UnknownObject, AmbiguousReference) as exc:

@@ -40,6 +40,8 @@ from scene_forest.model import (
     canonicalize_id,
 )
 from scene_forest.reorganize import Backend, BackendConfig, parse_task, reorganize
+from scene_forest.treebuild import build_tree
+from scene_forest.treetext import serialize_tree
 
 from conftest import make_object, make_table
 
@@ -596,6 +598,69 @@ class TestCmdPipeline:
             assert sorted(calls) == scenes, round_
 
 
+class TestRenderCalls:
+    """The benchmark traces rendering by wrapping `cli.serialize_tree`,
+    `cli.to_dot` and `remote.serialize_tree`, so every scene must render
+    through those module attributes, looked up at call time."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name) -> list:
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_rule_scene_renders_twice_per_format(self, tmp_path, monkeypatch):
+        data = tmp_path / "ds"
+        assert main(["gen", "--seed", "0", "--count", "6", "--out", str(data)]) == EXIT_OK
+        trees = self.count_calls(monkeypatch, cli_mod, "serialize_tree")
+        dots = self.count_calls(monkeypatch, cli_mod, "to_dot")
+        assert main([
+            "pipeline", str(data / "scene_0000.json"), "--task", "stack all",
+            "--out", str(tmp_path / "one"),
+        ]) == EXIT_OK
+        assert (len(trees), len(dots)) == (2, 2)
+        assert main([
+            "pipeline", "--batch", str(data), "--task", "stack all", "--out", str(tmp_path / "all"),
+        ]) == EXIT_OK
+        assert (len(trees), len(dots)) == (2 + 12, 2 + 12)
+
+    def test_remote_scene_renders_its_prompt_once(self, tmp_path, monkeypatch):
+        from scene_forest import remote
+        from test_remote import StubChatServer
+
+        record = generate_synthetic_scene(0, 0)
+        data = tmp_path / "ds"
+        data.mkdir()
+        for name in ("a", "b", "c"):
+            save_scene_record(record, data / f"{name}.json")
+        # The reply keeps the scene as it is, a valid goal for a free-text task.
+        initial = build_tree(_scene_triplets(record), record.objects).tree
+        server = StubChatServer([(200, serialize_tree(initial))] * 4)
+        try:
+            monkeypatch.setenv("SCENE_FOREST_ENDPOINT", server.url)
+            prompts = self.count_calls(monkeypatch, remote, "serialize_tree")
+            trees = self.count_calls(monkeypatch, cli_mod, "serialize_tree")
+            dots = self.count_calls(monkeypatch, cli_mod, "to_dot")
+            remote_run = ["--task", "make it tidy", "--backend", "remote"]
+            assert main([
+                "pipeline", str(data / "a.json"), *remote_run, "--out", str(tmp_path / "one"),
+            ]) == EXIT_OK
+            assert (len(prompts), len(trees), len(dots)) == (1, 2, 2)
+            assert main([
+                "pipeline", "--batch", str(data), *remote_run, "--out", str(tmp_path / "all"),
+            ]) == EXIT_OK
+            assert (len(prompts), len(trees), len(dots)) == (1 + 3, 2 + 6, 2 + 6)
+            assert len(server.requests) == 4
+        finally:
+            server.close()
+
+
 def _is_indented_dump(text: str) -> bool:
     return text == json.dumps(json.loads(text), indent=2) + "\n"
 
@@ -721,10 +786,10 @@ class TestSceneFiles:
         missing = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}"
         assert main(["pipeline", "./nope.json", "--task", "stack all", "--out", "out"]) == EXIT_IO
         assert main(["parse", "./nope.json"]) == EXIT_IO
-        # `pipeline` names the file as `Path` spells it; `parse` as it was given.
+        # Both commands name the file as `Path` spells it, in the message and the errno text.
         assert capsys.readouterr().err.splitlines() == [
             f"nope: IoError: cannot read nope.json: {missing}: 'nope.json'",
-            f"nope: IoError: cannot read ./nope.json: {missing}: 'nope.json'",
+            f"nope: IoError: cannot read nope.json: {missing}: 'nope.json'",
         ]
 
     def test_record_that_is_not_utf8(self, scene_file, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+import sys
 import time
 from collections import deque
 
@@ -7,6 +9,12 @@ from hypothesis import strategies as st
 
 from scene_forest.errors import UnknownId
 from scene_forest.model import SceneTree, SpatialPredicate, SpatialTriplet
+from scene_forest.reorganize import (
+    rule_group_by_material,
+    rule_stack_all,
+    rule_stack_object,
+    rule_unstack_all,
+)
 from scene_forest.treebuild import (
     BuildReport,
     Violation,
@@ -16,6 +24,7 @@ from scene_forest.treebuild import (
     to_dot,
     validate_tree,
 )
+from scene_forest.treetext import parse_tree_block, serialize_tree, text_table
 
 from conftest import (
     chain_tree,
@@ -24,6 +33,9 @@ from conftest import (
     make_object,
     make_table,
     random_tree,
+    reference_serialize_tree,
+    reference_to_dot,
+    scene_trees,
 )
 
 
@@ -230,6 +242,40 @@ def test_to_dot_deterministic_and_complete():
     assert '"table_1" -> "book_1";' in dot
     assert '"book_1" -> "cup_1";' in dot
     assert 'book_1\\n[wood, 100]' in dot
+
+
+# Integers, integral floats, tiny and huge floats and values at the top of
+# the float range, where `format_mass` spells a mass as a long integer.
+_MASSES = st.one_of(
+    st.integers(1, 10**6),
+    st.integers(1, 10**6).map(float),
+    st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False),
+    st.sampled_from([
+        1e-05, 1e16, 100.5, sys.float_info.max, math.nextafter(sys.float_info.max, 0.0),
+        int(sys.float_info.max), sys.float_info.max / 3,
+    ]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=scene_trees(masses=_MASSES), data=st.data())
+def test_renderers_match_reference_with_a_shared_table(tree, data):
+    # A scene renders its initial tree and its goal from the initial tree's
+    # table. Rule goals share its `nodes`; a parsed tree holds a new dict
+    # over the same objects.
+    movable = sorted(n for n in tree.nodes if n != tree.root)
+    goals = [rule_stack_all(tree), rule_unstack_all(tree), rule_group_by_material(tree)]
+    if movable:
+        goals.append(rule_stack_object(tree, data.draw(st.sampled_from(movable))))
+    goals.append(parse_tree_block(serialize_tree(tree), list(tree.nodes.values())))
+    table = text_table(tree.nodes)
+    for rendered in [tree, *goals]:
+        expected_text = reference_serialize_tree(rendered)
+        expected_dot = reference_to_dot(rendered)
+        assert serialize_tree(rendered, table) == expected_text
+        assert to_dot(rendered, table) == expected_dot
+        assert serialize_tree(rendered) == expected_text
+        assert to_dot(rendered) == expected_dot
 
 
 # References: the per-start BFS and the per-node chain walk that the one-pass
