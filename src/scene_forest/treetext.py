@@ -60,7 +60,7 @@ def serialize_tree(tree: SceneTree, table: TextTable | None = None) -> str:
     if table is None:
         table = text_table(tree.nodes)
     node_lines = table.lines
-    children = tree._children
+    children = tree._children  # the child index itself: `children_of` copies each list
     out = ["TREE"]
     stack = [(tree.root, "")]
     while stack:
