@@ -15,10 +15,9 @@ passes it in place of the registry.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import AmbiguousReference, InvalidLabel, MalformedSentence, UnknownObject
-from .model import ObjectInstance, SpatialPredicate, SpatialTriplet, canonicalize_id
+from .model import ObjectInstance, SpatialPredicate, SpatialTriplet, Value, canonicalize_id
 
 _VERB_RE = re.compile(r"\b(is|are)\b", re.IGNORECASE)
 _PRED_RE = re.compile(r"\s*on(\s+top\s+of)?\b", re.IGNORECASE)
@@ -33,11 +32,14 @@ _ORDINAL_WORDS = {
 }
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    severity: str  # "warning"
-    span: tuple[int, int]
-    message: str
+class ParseDiagnostic(Value):
+    __slots__ = ("severity", "span", "message")
+
+    def __init__(self, severity: str, span: tuple[int, int], message: str):
+        set_severity, set_span, set_message = self._setters
+        set_severity(self, severity)  # "warning"
+        set_span(self, span)
+        set_message(self, message)
 
 
 class LabelIndex:
@@ -190,14 +192,10 @@ def parse_caption(
                     if warnings is not None:
                         warnings.append(
                             ParseDiagnostic(
-                                severity="warning",
-                                span=span,
-                                message=f"duplicate relation {subject} -> {support}",
+                                "warning", span, f"duplicate relation {subject} -> {support}"
                             )
                         )
                     continue
                 seen.add(key)
-                triplets.append(
-                    SpatialTriplet(subject=subject, predicate=predicate, support=support)
-                )
+                triplets.append(SpatialTriplet(subject, predicate, support))
     return triplets

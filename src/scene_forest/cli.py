@@ -316,9 +316,10 @@ def cmd_pipeline(args) -> int:
 def cmd_gen(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    prefix = _child(str(out_dir), "")
     for index in range(args.count):
         record = dataset_mod.generate_synthetic_scene(args.seed, index)
-        dataset_mod.save_scene_record(record, out_dir / f"{record.scene_id}.json")
+        dataset_mod.save_scene_record(record, f"{prefix}{record.scene_id}.json")
     return EXIT_OK
 
 

@@ -12,7 +12,6 @@ import random
 from bisect import insort
 from collections import Counter
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DomainError, IoError, SchemaError
@@ -25,6 +24,7 @@ from .model import (
     SpatialPredicate,
     SpatialTriplet,
     TRANSPARENCY_LEVELS,
+    Value,
     canonicalize_id,
 )
 
@@ -78,13 +78,8 @@ def _record_from_dict(data: dict) -> SceneRecord:
         seen_ids.add(obj_id)
         if not isinstance(mass, (int, float)) or isinstance(mass, bool):
             raise SchemaError("mass_grams must be a number")
-        attributes = AttributeSet(
-            fragility=fragility,
-            mass_grams=mass,
-            material=material,
-            transparency=transparency,
-        )
-        objects.append(ObjectInstance(id=obj_id, label=label, attributes=attributes))
+        attributes = AttributeSet(fragility, mass, material, transparency)
+        objects.append(ObjectInstance(obj_id, label, attributes))
 
     for caption in raw_captions:
         if not isinstance(caption, str):
@@ -115,20 +110,11 @@ def _record_from_dict(data: dict) -> SceneRecord:
             if not isinstance(support, str):
                 raise SchemaError("triplet support must be a string")
             parsed.append(
-                SpatialTriplet(
-                    subject=subject,
-                    predicate=SpatialPredicate.from_token(predicate),
-                    support=support,
-                )
+                SpatialTriplet(subject, SpatialPredicate.from_token(predicate), support)
             )
         triplets = tuple(parsed)
 
-    return SceneRecord(
-        scene_id=scene_id,
-        objects=tuple(objects),
-        captions=tuple(raw_captions),
-        triplets=triplets,
-    )
+    return SceneRecord(scene_id, tuple(objects), tuple(raw_captions), triplets)
 
 
 def record_to_dict(record: SceneRecord) -> dict:
@@ -211,9 +197,66 @@ def _write_in_place(path: str | Path, text: str) -> None:
         os.close(fd)
 
 
+def _json_list(items: list[str]) -> str:
+    """A top-level field's JSON array of already-formatted `items`, in
+    `json.dumps(indent=2)`'s layout."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n  ]"
+
+
+def _json_number(value) -> str:
+    # `repr` spells an int or a float as the encoder does; anything else
+    # (a bool, an int or float subclass) goes through the encoder.
+    return repr(value) if type(value) in (int, float) else json.dumps(value)
+
+
+def _record_json(record: SceneRecord) -> str:
+    """`json.dumps(record_to_dict(record), indent=2) + "\\n"`, without the
+    pure-Python encoder that `indent` selects.
+
+    The keys are those `record_to_dict` writes, in its order, so a key
+    added there must be added here. The scene id, labels and captions are
+    escaped by `json.dumps`. Object ids (which also name every triplet's
+    subject and support), attribute values and predicates are tokens the
+    model checks, which need no escaping.
+    """
+    objects = []
+    for o in record.objects:
+        a = o.attributes
+        objects.append(
+            "    {\n"
+            f'      "id": "{o.id}",\n'
+            f'      "label": {json.dumps(o.label)},\n'
+            f'      "fragility": "{a.fragility}",\n'
+            f'      "mass_grams": {_json_number(a.mass_grams)},\n'
+            f'      "material": "{a.material}",\n'
+            f'      "transparency": "{a.transparency}"\n'
+            "    }"
+        )
+    captions = [f"    {json.dumps(caption)}" for caption in record.captions]
+    text = (
+        "{\n"
+        f'  "scene_id": {json.dumps(record.scene_id)},\n'
+        f'  "objects": {_json_list(objects)},\n'
+        f'  "captions": {_json_list(captions)}'
+    )
+    if record.triplets is not None:
+        triplets = [
+            "    {\n"
+            f'      "subject": "{t.subject}",\n'
+            f'      "predicate": "{t.predicate.value}",\n'
+            f'      "support": "{t.support}"\n'
+            "    }"
+            for t in record.triplets
+        ]
+        text += f',\n  "triplets": {_json_list(triplets)}'
+    return text + "\n}\n"
+
+
 def save_scene_record(record: SceneRecord, path: str | Path) -> None:
     try:
-        _write_in_place(path, json.dumps(record_to_dict(record), indent=2) + "\n")
+        _write_in_place(path, _record_json(record))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -258,12 +301,15 @@ _FRAGILITY_WEIGHTS = (1.0, 1.0, 1.0)
 _TRANSPARENCY_WEIGHTS = (3.0, 1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class AttributeSampler:
+class AttributeSampler(Value):
     """Per-label material choices and mass range."""
 
-    material_choices: tuple[str, ...]
-    mass_range_grams: tuple[float, float]
+    __slots__ = ("material_choices", "mass_range_grams")
+
+    def __init__(self, material_choices: tuple[str, ...], mass_range_grams: tuple[float, float]):
+        set_material_choices, set_mass_range_grams = self._setters
+        set_material_choices(self, material_choices)
+        set_mass_range_grams(self, mass_range_grams)
 
     def sample(self, rng: random.Random) -> AttributeSet:
         fragility = rng.choices(FRAGILITY_LEVELS, weights=_FRAGILITY_WEIGHTS)[0]
@@ -271,12 +317,7 @@ class AttributeSampler:
         material = rng.choice(self.material_choices)
         lo, hi = self.mass_range_grams
         mass = round(rng.uniform(lo, hi), 1)
-        return AttributeSet(
-            fragility=fragility,
-            mass_grams=mass,
-            material=material,
-            transparency=transparency,
-        )
+        return AttributeSet(fragility, mass, material, transparency)
 
 
 _LABEL_VOCABULARY = (
@@ -321,11 +362,7 @@ def generate_synthetic_scene(seed: int, index: int) -> SceneRecord:
         label, sampler = _LABEL_VOCABULARY[rng.randrange(len(_LABEL_VOCABULARY))]
         ordinals[label] = ordinals.get(label, 0) + 1
         objects.append(
-            ObjectInstance(
-                id=canonicalize_id(label, ordinals[label]),
-                label=label,
-                attributes=sampler.sample(rng),
-            )
+            ObjectInstance(canonicalize_id(label, ordinals[label]), label, sampler.sample(rng))
         )
 
     # Random valid forest under the table, bounded by _MAX_STACK_HEIGHT.
@@ -338,15 +375,8 @@ def generate_synthetic_scene(seed: int, index: int) -> SceneRecord:
         if depths[obj.id] < _MAX_STACK_HEIGHT:
             insort(supports, obj.id)
         predicate = rng.choice((SpatialPredicate.ON, SpatialPredicate.ON_TOP_OF))
-        triplets.append(
-            SpatialTriplet(subject=obj.id, predicate=predicate, support=support)
-        )
+        triplets.append(SpatialTriplet(obj.id, predicate, support))
 
     names = _display_names({o.id: o for o in objects})
     captions = tuple(_sentence(t.subject, t.predicate, t.support, names) for t in triplets)
-    return SceneRecord(
-        scene_id=f"scene_{index:04d}",
-        objects=tuple(objects),
-        captions=captions,
-        triplets=tuple(triplets),
-    )
+    return SceneRecord(f"scene_{index:04d}", tuple(objects), captions, tuple(triplets))

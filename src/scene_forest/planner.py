@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import (
     IdMismatch,
@@ -28,13 +27,16 @@ from .errors import (
     RootMismatch,
     UnknownId,
 )
-from .model import MoveAction, Plan, SceneTree
+from .model import MoveAction, Plan, SceneTree, Value
 
 
-@dataclass(frozen=True)
-class PlanTrace:
-    plan: Plan
-    staged_moves: int
+class PlanTrace(Value):
+    __slots__ = ("plan", "staged_moves")
+
+    def __init__(self, plan: Plan, staged_moves: int):
+        set_plan, set_staged_moves = self._setters
+        set_plan(self, plan)
+        set_staged_moves(self, staged_moves)
 
 
 def _check_pair(initial: SceneTree, goal: SceneTree) -> None:
@@ -76,7 +78,7 @@ def execute_plan(tree: SceneTree, plan: Plan) -> SceneTree:
         child_count[parent[move.object]] -= 1
         child_count[move.destination] += 1
         parent[move.object] = move.destination
-    return SceneTree(root=tree.root, nodes=tree.nodes, parent=parent)
+    return SceneTree(tree.root, tree.nodes, parent)
 
 
 def plan_moves(initial: SceneTree, goal: SceneTree) -> PlanTrace:
@@ -132,7 +134,7 @@ def plan_moves(initial: SceneTree, goal: SceneTree) -> PlanTrace:
             obj = heapq.heappop(stageable)[1]
             dest = root
             staged += 1
-        moves.append(MoveAction(object=obj, destination=dest))
+        moves.append(MoveAction(obj, dest))
         old = parent[obj]
         parent[obj] = dest
         depth[obj] = depth[dest] + 1
@@ -145,4 +147,4 @@ def plan_moves(initial: SceneTree, goal: SceneTree) -> PlanTrace:
                     offer(child)
         if not child_count[old] and old not in settled:
             offer(old)
-    return PlanTrace(plan=Plan(moves=tuple(moves)), staged_moves=staged)
+    return PlanTrace(Plan(tuple(moves)), staged)

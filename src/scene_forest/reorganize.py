@@ -12,7 +12,6 @@ parse or check triggers a re-prompt, never a silent repair.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 from .captions import resolve_reference
@@ -22,6 +21,7 @@ from .model import (
     SceneTree,
     TaskKind,
     TaskSpec,
+    Value,
     fragility_rank,
 )
 from .treebuild import validate_tree
@@ -32,22 +32,28 @@ class Backend(Enum):
     REMOTE = "remote"
 
 
-@dataclass(frozen=True)
-class BackendConfig:
-    backend: Backend
-    endpoint_url: str | None = None
-    model_name: str | None = None
+class BackendConfig(Value):
+    __slots__ = ("backend", "endpoint_url", "model_name")
 
-    def __post_init__(self):
-        if self.backend is Backend.REMOTE and not (self.endpoint_url and self.model_name):
+    def __init__(
+        self, backend: Backend, endpoint_url: str | None = None, model_name: str | None = None
+    ):
+        if backend is Backend.REMOTE and not (endpoint_url and model_name):
             raise ValueError("remote backend requires endpoint_url and model_name")
+        set_backend, set_endpoint_url, set_model_name = self._setters
+        set_backend(self, backend)
+        set_endpoint_url(self, endpoint_url)
+        set_model_name(self, model_name)
 
 
-@dataclass(frozen=True)
-class ConstraintViolation:
-    kind: str  # "FragileBelowHeavier" | "MassInversion"
-    above: str
-    below: str
+class ConstraintViolation(Value):
+    __slots__ = ("kind", "above", "below")
+
+    def __init__(self, kind: str, above: str, below: str):
+        set_kind, set_above, set_below = self._setters
+        set_kind(self, kind)  # "FragileBelowHeavier" | "MassInversion"
+        set_above(self, above)
+        set_below(self, below)
 
 
 def parse_task(prompt: str, registry: list[ObjectInstance]) -> TaskSpec:
@@ -95,7 +101,7 @@ def _restack(tree: SceneTree, stacks) -> SceneTree:
         for node_id in stack:
             parent[node_id] = below
             below = node_id
-    return SceneTree(root=tree.root, nodes=tree.nodes, parent=parent)
+    return SceneTree(tree.root, tree.nodes, parent)
 
 
 def rule_stack_all(tree: SceneTree) -> SceneTree:

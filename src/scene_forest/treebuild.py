@@ -15,10 +15,9 @@ only the tree's sorted edge lines.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 
-from .model import ObjectInstance, SceneTree, SpatialTriplet
+from .model import ObjectInstance, SceneTree, SpatialTriplet, Value
 from .treetext import TextTable, text_table
 
 SURFACE_LABELS = {"table", "desk", "shelf"}
@@ -31,16 +30,22 @@ class ViolationKind(Enum):
     NO_ROOT = "NoRoot"
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: ViolationKind
-    detail: str
+class Violation(Value):
+    __slots__ = ("kind", "detail")
+
+    def __init__(self, kind: ViolationKind, detail: str):
+        set_kind, set_detail = self._setters
+        set_kind(self, kind)
+        set_detail(self, detail)
 
 
-@dataclass(frozen=True)
-class BuildReport:
-    tree: SceneTree | None
-    violations: tuple[Violation, ...] = ()
+class BuildReport(Value):
+    __slots__ = ("tree", "violations")
+
+    def __init__(self, tree: SceneTree | None, violations: tuple[Violation, ...] = ()):
+        set_tree, set_violations = self._setters
+        set_tree(self, tree)
+        set_violations(self, violations)
 
     @property
     def success(self) -> bool:
@@ -159,7 +164,7 @@ def build_tree(
     for obj_id in by_id:
         if obj_id != root and obj_id not in parent:
             parent[obj_id] = root
-    return BuildReport(tree=SceneTree(root=root, nodes=dict(by_id), parent=parent))
+    return BuildReport(SceneTree(root, dict(by_id), parent))
 
 
 def validate_tree(tree: SceneTree) -> list[Violation]:

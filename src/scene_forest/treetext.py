@@ -127,4 +127,4 @@ def parse_tree_block(text: str, registry: list[ObjectInstance]) -> SceneTree:
     missing = sorted(set(by_id) - seen)
     if missing:
         raise MissingObject(f"objects omitted from tree: {', '.join(missing)}")
-    return SceneTree(root=root, nodes=dict(by_id), parent=parent)
+    return SceneTree(root, dict(by_id), parent)

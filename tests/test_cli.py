@@ -1012,12 +1012,14 @@ class TestParser:
 
     def test_import_builds_no_parser_and_loads_no_http_client(self):
         # Importing the CLI stays cheap: the parser is built by the first
-        # `main` call and the remote client by the first remote scene.
+        # `main` call and the remote client by the first remote scene, and
+        # the value types are plain classes, with no `dataclasses` (which
+        # loads `inspect`) behind them.
         probe = (
             "import sys, scene_forest.cli as cli; "
-            "print(cli.build_parser.cache_info().currsize, "
-            "sorted(m for m in ('scene_forest.remote', 'urllib.request', 'concurrent.futures') "
-            "if m in sys.modules))"
+            "print(cli.build_parser.cache_info().currsize, sorted(m for m in "
+            "('scene_forest.remote', 'urllib.request', 'concurrent.futures', 'dataclasses', "
+            "'inspect') if m in sys.modules))"
         )
         src = Path(__file__).resolve().parent.parent / "src"
         run = subprocess.run(

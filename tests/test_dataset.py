@@ -3,7 +3,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from scene_forest.captions import parse_caption
 from scene_forest.dataset import (
@@ -325,6 +325,52 @@ def test_save_load_round_trip(tmp_path, rng):
     path = tmp_path / "scene.json"
     save_scene_record(record, path)
     assert load_scene_record(path) == record
+
+
+_ids = st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True)
+# Labels, captions and scene ids need escapes: quotes, backslashes, control
+# characters, non-ASCII text and surrogate pairs.
+_texts = st.text(st.characters() | st.sampled_from('"\\\n\t\x00é☃𝄞'), max_size=8)
+
+
+@st.composite
+def _records(draw):
+    ids = draw(st.lists(_ids, min_size=1, max_size=5, unique=True))
+    masses = st.one_of(
+        st.integers(1, 10**30),
+        st.floats(5e-324, 1.7e308, allow_nan=False, allow_infinity=False),
+        st.sampled_from([1e16, 1e-05, 12000, 12000.0, 0.1, True]),
+    )
+    objects = tuple(
+        ObjectInstance(
+            obj_id,
+            draw(_texts.filter(bool)),
+            AttributeSet(
+                draw(st.sampled_from(["low", "medium", "high"])),
+                draw(masses),
+                draw(st.sampled_from(["wood", "glass", "other"])),
+                draw(st.sampled_from(["opaque", "transparent"])),
+            ),
+        )
+        for obj_id in ids
+    )
+    edges = st.tuples(st.sampled_from(ids), st.sampled_from(SpatialPredicate), st.sampled_from(ids))
+    triplets = draw(st.none() | st.lists(edges, max_size=4))
+    if triplets is not None:
+        triplets = tuple(SpatialTriplet(*t) for t in triplets if t[0] != t[2])
+    return SceneRecord(draw(_texts), objects, tuple(draw(st.lists(_texts, max_size=3))), triplets)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(record=_records())
+def test_saved_bytes_are_the_indented_json_encoding(tmp_path, record):
+    # `perfbench/digests.json` hashes the `gen` files, so the writer's bytes
+    # must stay those of `json.dumps(indent=2)`.
+    path = tmp_path / "scene.json"
+    save_scene_record(record, path)
+    assert path.read_bytes() == (json.dumps(record_to_dict(record), indent=2) + "\n").encode()
+    if all(o.attributes.mass_grams is not True for o in record.objects):  # the loader rejects a bool
+        assert load_scene_record(path) == record
 
 
 def test_record_dict_schema_field_names():
