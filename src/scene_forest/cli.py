@@ -132,14 +132,15 @@ def run_pipeline_for_scene(
         initial = report.tree
         task = parse_task(task_text, record.objects)
         timed("parse")
-        goal = reorganize(initial, task, config)
+        # One table renders the remote prompt and every output. The goal holds
+        # the initial tree's objects: a rule goal shares its `nodes`, and a
+        # remote goal's ids were checked against them.
+        table = text_table(initial.nodes)
+        goal = reorganize(initial, task, config, table=table)
         timed("reorganize")
         trace = plan_moves(initial, goal)
         verified = execute_plan(initial, trace.plan) == goal
         timed("plan")
-        # The goal holds the initial tree's objects: a rule goal shares its
-        # `nodes`, and a remote goal's ids were checked against them.
-        table = text_table(initial.nodes)
         texts = {
             "initial.tree.txt": serialize_tree(initial, table),
             "goal.tree.txt": serialize_tree(goal, table),

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import sys
 from bisect import insort
 from collections import Counter
 import warnings
@@ -18,6 +19,7 @@ from .errors import DomainError, IoError, SchemaError
 from .model import (
     AttributeSet,
     FRAGILITY_LEVELS,
+    MATERIALS,
     ObjectInstance,
     SceneRecord,
     SceneTree,
@@ -25,6 +27,8 @@ from .model import (
     SpatialTriplet,
     TRANSPARENCY_LEVELS,
     Value,
+    _ID_RE,
+    _PREDICATE_BY_TOKEN,
     canonicalize_id,
 )
 
@@ -39,7 +43,10 @@ def record_from_dict(data: dict) -> SceneRecord:
 
 def _record_from_dict(data: dict) -> SceneRecord:
     # Checks run in a fixed order and the first failure names the record's
-    # fault; messages are formatted only on failure.
+    # fault; messages are formatted only on failure. The checks of each
+    # value's constructor are made here, once, and the value is built
+    # through its slots' setters; a value that fails one goes to its
+    # constructor, which raises that check's message.
     if not isinstance(data, dict):
         raise SchemaError("record must be a JSON object")
     for key in ("scene_id", "objects", "captions"):
@@ -55,6 +62,11 @@ def _record_from_dict(data: dict) -> SceneRecord:
     if not isinstance(raw_captions, list):
         raise SchemaError("captions must be a list")
 
+    new = object.__new__
+    set_fragility, set_mass, set_material, set_transparency = AttributeSet._setters
+    set_id, set_label, set_attributes = ObjectInstance._setters
+    id_match = _ID_RE.match
+    max_mass = sys.float_info.max
     objects = []
     seen_ids = set()
     for entry in raw_objects:
@@ -78,18 +90,37 @@ def _record_from_dict(data: dict) -> SceneRecord:
         seen_ids.add(obj_id)
         if not isinstance(mass, (int, float)) or isinstance(mass, bool):
             raise SchemaError("mass_grams must be a number")
-        attributes = AttributeSet(fragility, mass, material, transparency)
-        objects.append(ObjectInstance(obj_id, label, attributes))
+        if (
+            fragility in FRAGILITY_LEVELS and material in MATERIALS
+            and transparency in TRANSPARENCY_LEVELS and 0 < mass <= max_mass
+            and id_match(obj_id) and label
+        ):
+            attributes = new(AttributeSet)
+            set_fragility(attributes, fragility)
+            set_mass(attributes, mass)
+            set_material(attributes, material)
+            set_transparency(attributes, transparency)
+            obj = new(ObjectInstance)
+            set_id(obj, obj_id)
+            set_label(obj, label)
+            set_attributes(obj, attributes)
+        else:
+            attributes = AttributeSet(fragility, mass, material, transparency)
+            obj = ObjectInstance(obj_id, label, attributes)
+        objects.append(obj)
 
     for caption in raw_captions:
         if not isinstance(caption, str):
             raise SchemaError("caption must be a string")
 
     triplets = None
+    declared = True  # whether every triplet names declared ids only
     raw_triplets = data.get("triplets")
     if raw_triplets is not None:
         if not isinstance(raw_triplets, list):
             raise SchemaError("triplets must be a list")
+        set_subject, set_predicate, set_support = SpatialTriplet._setters
+        by_token = _PREDICATE_BY_TOKEN
         parsed = []
         for entry in raw_triplets:
             if not isinstance(entry, dict):
@@ -109,12 +140,30 @@ def _record_from_dict(data: dict) -> SceneRecord:
             support = entry["support"]
             if not isinstance(support, str):
                 raise SchemaError("triplet support must be a string")
-            parsed.append(
-                SpatialTriplet(subject, SpatialPredicate.from_token(predicate), support)
-            )
+            # A member is truthy, so a token the table lacks goes to `from_token` to raise.
+            predicate = by_token.get(predicate) or SpatialPredicate.from_token(predicate)
+            if subject == support:
+                SpatialTriplet(subject, predicate, support)  # raises its message
+            triplet = new(SpatialTriplet)
+            set_subject(triplet, subject)
+            set_predicate(triplet, predicate)
+            set_support(triplet, support)
+            parsed.append(triplet)
+            if subject not in seen_ids or support not in seen_ids:
+                declared = False
         triplets = tuple(parsed)
 
-    return SceneRecord(scene_id, tuple(objects), tuple(raw_captions), triplets)
+    # Ids are unique (`seen_ids`), so only a triplet's reference can fail
+    # the record's own checks, after every triplet entry, as they run there.
+    if not declared:  # the constructor raises the first such triplet's message
+        return SceneRecord(scene_id, tuple(objects), tuple(raw_captions), triplets)
+    record = new(SceneRecord)
+    set_scene_id, set_objects, set_captions, set_triplets = SceneRecord._setters
+    set_scene_id(record, scene_id)
+    set_objects(record, tuple(objects))
+    set_captions(record, tuple(raw_captions))
+    set_triplets(record, triplets)
+    return record
 
 
 def record_to_dict(record: SceneRecord) -> dict:
@@ -207,7 +256,7 @@ def _json_list(items: list[str]) -> str:
 
 def _json_number(value) -> str:
     # `repr` spells an int or a float as the encoder does; anything else
-    # (a bool, an int or float subclass) goes through the encoder.
+    # (an int or float subclass) goes through the encoder.
     return repr(value) if type(value) in (int, float) else json.dumps(value)
 
 

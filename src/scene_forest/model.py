@@ -9,6 +9,11 @@ on any later assignment or deletion. A value has no instance `__dict__`.
 Two values are equal when they are of the same class and their fields are
 equal, so a value never equals a tuple of its fields. Equal values hash
 alike; a value holding a dict (a `SceneTree`) is unhashable.
+
+The record loader, `dataset.record_from_dict`, makes each constructor's
+checks itself, in the constructor's order, and builds a value that passes
+them through `object.__new__` and the class's `_setters`, so no check runs
+twice; a value that fails one goes through its constructor, which raises.
 """
 from __future__ import annotations
 
@@ -111,8 +116,12 @@ class AttributeSet(Value):
             raise DomainError(
                 f"transparency {_short_repr(transparency)} not in {TRANSPARENCY_LEVELS}"
             )
-        # Exact comparison: rejects NaN, infinities and ints too large for a float.
-        if not isinstance(mass_grams, (int, float)) or not 0 < mass_grams <= sys.float_info.max:
+        # Exact comparison: rejects NaN, infinities and ints too large for a
+        # float. A bool is no mass: the record loader rejects it too.
+        if (
+            not isinstance(mass_grams, (int, float)) or isinstance(mass_grams, bool)
+            or not 0 < mass_grams <= sys.float_info.max
+        ):
             raise DomainError(
                 f"mass_grams must be positive and finite, got {_short_repr(mass_grams)}"
             )
@@ -195,10 +204,7 @@ class SceneTree(Value):
         return index
 
     def children_of(self, node_id: str) -> list[str]:
-        index = self._index  # the slot, without the property's call once it is filled
-        if index is None:
-            index = self._children
-        return list(index.get(node_id, ()))
+        return list(self._children.get(node_id, ()))
 
     def ids(self) -> set[str]:
         return set(self.nodes)

@@ -7,7 +7,8 @@ blockers on the root; it is sound and bounded by 2n moves but not optimal.
 
 `plan_moves` and `execute_plan` work on a private mutable state (parent
 map, child counts, and for the planner a settled set and depths) and
-touch immutable `SceneTree`s only at their boundaries. Only unsettled
+touch immutable `SceneTree`s only at their boundaries: they read a tree's
+child index in place and seed every node's count from it. Only unsettled
 clear objects move, so settled objects never move again and a move
 changes the depth of the moved object alone. Placing an object settles
 exactly that object and can make only its goal-children placeable;
@@ -19,7 +20,6 @@ O(n log n) and its replay O(n + moves).
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 
 from .errors import (
     IdMismatch,
@@ -40,12 +40,20 @@ class PlanTrace(Value):
 
 
 def _check_pair(initial: SceneTree, goal: SceneTree) -> None:
-    if initial.ids() != goal.ids():
+    if initial.nodes.keys() != goal.nodes.keys():
         raise IdMismatch(
-            f"id sets differ: {sorted(initial.ids() ^ goal.ids())}"
+            f"id sets differ: {sorted(initial.nodes.keys() ^ goal.nodes.keys())}"
         )
     if initial.root != goal.root:
         raise RootMismatch(f"roots differ: {initial.root} vs {goal.root}")
+
+
+def _child_counts(tree: SceneTree) -> dict[str, int]:
+    """Each node's number of children, from the tree's child index."""
+    counts = dict.fromkeys(tree.nodes, 0)
+    for node, kids in tree._children.items():
+        counts[node] = len(kids)
+    return counts
 
 
 def diff_trees(initial: SceneTree, goal: SceneTree) -> set[str]:
@@ -63,22 +71,24 @@ def execute_plan(tree: SceneTree, plan: Plan) -> SceneTree:
     A `MoveAction` never names its object as its destination, and a clear
     object has nothing above it, so no legal move can create a cycle.
     """
+    nodes, root = tree.nodes, tree.root
     parent = dict(tree.parent)
-    child_count = Counter(parent.values())
+    child_count = _child_counts(tree)
     for move in plan.moves:
-        if move.object not in tree.nodes:
-            raise UnknownId(f"unknown object {move.object!r}")
-        if move.destination not in tree.nodes:
-            raise UnknownId(f"unknown destination {move.destination!r}")
-        if move.object == tree.root:
-            raise PickNotClear(f"root {move.object} cannot be picked")
-        if child_count[move.object]:
-            carried = sorted(c for c, p in parent.items() if p == move.object)
-            raise PickNotClear(f"{move.object} carries {', '.join(carried)}")
-        child_count[parent[move.object]] -= 1
-        child_count[move.destination] += 1
-        parent[move.object] = move.destination
-    return SceneTree(tree.root, tree.nodes, parent)
+        obj, dest = move.object, move.destination
+        if obj not in nodes:
+            raise UnknownId(f"unknown object {obj!r}")
+        if dest not in nodes:
+            raise UnknownId(f"unknown destination {dest!r}")
+        if obj == root:
+            raise PickNotClear(f"root {obj} cannot be picked")
+        if child_count[obj]:
+            carried = sorted(c for c, p in parent.items() if p == obj)
+            raise PickNotClear(f"{obj} carries {', '.join(carried)}")
+        child_count[parent[obj]] -= 1
+        child_count[dest] += 1
+        parent[obj] = dest
+    return SceneTree(root, nodes, parent)
 
 
 def plan_moves(initial: SceneTree, goal: SceneTree) -> PlanTrace:
@@ -91,16 +101,19 @@ def plan_moves(initial: SceneTree, goal: SceneTree) -> PlanTrace:
     """
     _check_pair(initial, goal)
     root = initial.root
+    goal_parent = goal.parent
+    goal_children = goal._children
     parent = dict(initial.parent)
-    child_count = Counter(parent.values())
+    child_count = _child_counts(initial)
     depth = {root: 0}
     settled = {root}
     stack = [root]
+    children = initial._children
     while stack:
         node = stack.pop()
-        for child in initial.children_of(node):
+        for child in children.get(node, ()):
             depth[child] = depth[node] + 1
-            if node in settled and goal.parent[child] == node:
+            if node in settled and goal_parent[child] == node:
                 settled.add(child)
             stack.append(child)
 
@@ -109,7 +122,7 @@ def plan_moves(initial: SceneTree, goal: SceneTree) -> PlanTrace:
 
     def offer(n: str) -> None:
         """Queue an unsettled clear object wherever it now qualifies."""
-        if goal.parent[n] in settled:
+        if goal_parent[n] in settled:
             heapq.heappush(placeable, n)
         elif parent[n] != root:
             heapq.heappush(stageable, (-depth[n], n))
@@ -127,7 +140,7 @@ def plan_moves(initial: SceneTree, goal: SceneTree) -> PlanTrace:
             heapq.heappop(placeable)
         if placeable:
             obj = heapq.heappop(placeable)
-            dest = goal.parent[obj]
+            dest = goal_parent[obj]
         else:
             while stageable[0][1] in settled or parent[stageable[0][1]] == root:
                 heapq.heappop(stageable)
@@ -140,9 +153,9 @@ def plan_moves(initial: SceneTree, goal: SceneTree) -> PlanTrace:
         depth[obj] = depth[dest] + 1
         child_count[dest] += 1
         child_count[old] -= 1
-        if dest == goal.parent[obj]:
+        if dest == goal_parent[obj]:
             settled.add(obj)
-            for child in goal.children_of(obj):
+            for child in goal_children.get(obj, ()):
                 if not child_count[child]:
                     offer(child)
         if not child_count[old] and old not in settled:

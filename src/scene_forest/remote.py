@@ -28,7 +28,7 @@ from . import treetext
 from .errors import GoalParseError, InvalidGoal, UnknownId, BackendError
 from .model import ObjectInstance, SceneTree, TaskSpec
 from .reorganize import check_goal
-from .treetext import serialize_tree
+from .treetext import TextTable, serialize_tree
 
 API_KEY_ENV = "SCENE_FOREST_API_KEY"
 
@@ -47,10 +47,12 @@ PROMPT_PREAMBLE = (
 )
 
 
-def build_messages(tree: SceneTree, task: TaskSpec) -> list[dict]:
+def build_messages(
+    tree: SceneTree, task: TaskSpec, table: TextTable | None = None
+) -> list[dict]:
     """The prompt: fixed preamble as system message, tree block and task line
-    as user message."""
-    user = f"{serialize_tree(tree)}\nTASK: {task.raw_prompt}\n"
+    as user message. `table`, if given, holds every object of `tree`."""
+    user = f"{serialize_tree(tree, table)}\nTASK: {task.raw_prompt}\n"
     return [
         {"role": "system", "content": PROMPT_PREAMBLE},
         {"role": "user", "content": user},
@@ -96,10 +98,13 @@ def _post_chat(config, messages: list[dict]) -> str:
     return content
 
 
-def request_goal_tree(tree: SceneTree, task: TaskSpec, config) -> SceneTree:
-    """One reorganization round-trip, with gate-driven re-prompting."""
+def request_goal_tree(
+    tree: SceneTree, task: TaskSpec, config, table: TextTable | None = None
+) -> SceneTree:
+    """One reorganization round-trip, with gate-driven re-prompting. The
+    prompt renders `tree` from `table` when one is given."""
     registry: list[ObjectInstance] = list(tree.nodes.values())
-    messages = build_messages(tree, task)
+    messages = build_messages(tree, task, table)
     last_error: Exception | None = None
     for _ in range(_MAX_RETRIES + 1):
         try:

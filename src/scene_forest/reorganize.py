@@ -25,6 +25,7 @@ from .model import (
     fragility_rank,
 )
 from .treebuild import validate_tree
+from .treetext import TextTable
 
 
 class Backend(Enum):
@@ -189,12 +190,16 @@ def check_goal(initial: SceneTree, goal: SceneTree) -> None:
         raise InvalidGoal(f"goal tree invalid: {details}")
 
 
-def reorganize(tree: SceneTree, task: TaskSpec, config: BackendConfig) -> SceneTree:
-    """Produce a goal tree for the task using the configured backend."""
+def reorganize(
+    tree: SceneTree, task: TaskSpec, config: BackendConfig, table: TextTable | None = None
+) -> SceneTree:
+    """Produce a goal tree for the task using the configured backend. A
+    remote prompt renders `tree` from `table`, a `treetext.TextTable` of its
+    objects, when one is given; the rule backend renders nothing."""
     if config.backend is Backend.REMOTE:
         from .remote import request_goal_tree
 
-        return request_goal_tree(tree, task, config)
+        return request_goal_tree(tree, task, config, table)
     if task.kind is TaskKind.STACK_ALL:
         goal = rule_stack_all(tree)
     elif task.kind is TaskKind.UNSTACK_ALL:

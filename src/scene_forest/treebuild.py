@@ -6,7 +6,8 @@ and the support graph must be acyclic. Objects mentioned in no triplet are
 attached directly to the root.
 
 Both cycle checks rest on one memoised walk over the parent map that visits
-each node once: O(n), plus a sort for `validate_tree`'s report order.
+each node once: O(n). `validate_tree` sorts only the nodes it reports, so a
+valid tree costs no sort.
 
 `to_dot` writes the DOT header and node block from a scene's
 `treetext.TextTable`, the same for every tree over its objects, and adds
@@ -68,8 +69,11 @@ def _walk_chains(
     for start in parent:
         if start in end:
             continue
-        path: dict[str, None] = {}  # the unresolved chain so far, in walk order
-        cur = start
+        cur = parent[start]
+        if cur in end:  # the usual case: the chain's next node was walked before
+            end[start] = end[cur]
+            continue
+        path: dict[str, None] = {start: None}  # the unresolved chain so far, in walk order
         while cur in parent and cur not in end and cur not in path:
             path[cur] = None
             cur = parent[cur]
@@ -89,13 +93,11 @@ def _walk_chains(
 
 
 def _infer_root(
-    triplets: list[SpatialTriplet], objects: list[ObjectInstance]
+    candidates: list[str], by_id: dict[str, ObjectInstance]
 ) -> tuple[str | None, Violation | None]:
-    subjects = {t.subject for t in triplets}
-    candidates = sorted(o.id for o in objects if o.id not in subjects)
+    """The root among `candidates`, the sorted ids that rest on nothing."""
     if not candidates:
         return None, Violation(ViolationKind.NO_ROOT, "every object rests on another")
-    by_id = {o.id: o for o in objects}
     surfaces = [c for c in candidates if by_id[c].label.lower() in SURFACE_LABELS]
     if len(surfaces) == 1:
         return surfaces[0], None
@@ -124,10 +126,9 @@ def build_tree(
         )
 
     parent: dict[str, str] = {}
-    usable: list[SpatialTriplet] = []
     for t in triplets:
-        missing = [x for x in (t.subject, t.support) if x not in by_id]
-        if missing:
+        if t.subject not in by_id or t.support not in by_id:
+            missing = [x for x in (t.subject, t.support) if x not in by_id]
             violations.append(
                 Violation(ViolationKind.UNKNOWN_ID, f"undeclared ids: {', '.join(missing)}")
             )
@@ -141,7 +142,6 @@ def build_tree(
             )
             continue
         parent[t.subject] = t.support
-        usable.append(t)
 
     _, cycles = _walk_chains(parent)
     if cycles:
@@ -150,7 +150,10 @@ def build_tree(
             Violation(ViolationKind.CYCLE, "support cycle: " + " -> ".join(shortest))
         )
 
-    root, root_violation = _infer_root(usable, objects)
+    # The subjects of the triplets kept are the keys of `parent`.
+    root, root_violation = _infer_root(
+        sorted(o.id for o in objects if o.id not in parent), by_id
+    )
     if root_violation:
         violations.append(root_violation)
 
@@ -164,7 +167,7 @@ def build_tree(
     for obj_id in by_id:
         if obj_id != root and obj_id not in parent:
             parent[obj_id] = root
-    return BuildReport(SceneTree(root, dict(by_id), parent))
+    return BuildReport(SceneTree(root, by_id, parent))
 
 
 def validate_tree(tree: SceneTree) -> list[Violation]:
@@ -175,35 +178,42 @@ def validate_tree(tree: SceneTree) -> list[Violation]:
             Violation(ViolationKind.UNKNOWN_ID, f"root {tree.root!r} not among nodes")
         )
         return violations
-    for child, parent in tree.parent.items():
-        if child not in tree.nodes:
+    nodes = tree.nodes
+    for child, support in tree.parent.items():
+        if child not in nodes:
             violations.append(
                 Violation(ViolationKind.UNKNOWN_ID, f"parent map lists unknown {child!r}")
             )
-        if parent not in tree.nodes:
+        if support not in nodes:
             violations.append(
-                Violation(ViolationKind.UNKNOWN_ID, f"unknown support {parent!r}")
+                Violation(ViolationKind.UNKNOWN_ID, f"unknown support {support!r}")
             )
     if violations:
         return violations
 
+    # A chain that runs into a cycle is reported once, as that cycle at its
+    # least node; a chain that ends short of the root is a connectivity
+    # breach. Those reports come in id order, after the unparented nodes.
+    end, cycles = _walk_chains(tree.parent)
+    root, parent = tree.root, tree.parent
+    breaches = []
     for node in tree.nodes:
-        if node != tree.root and node not in tree.parent:
+        if node in parent:
+            if end[node] != root:
+                breaches.append(node)
+        elif node != root:
             violations.append(
                 Violation(ViolationKind.NO_ROOT, f"{node} has no parent and is not root")
             )
-
-    # A chain that runs into a cycle is reported once, as that cycle at its
-    # least node; a chain that ends short of the root is a connectivity breach.
-    end, cycles = _walk_chains(tree.parent)
-    for node in sorted(tree.nodes):
+            breaches.append(node)
+    for node in sorted(breaches):
         if node in cycles:
             violations.append(
                 Violation(ViolationKind.CYCLE, "support cycle: " + " -> ".join(cycles[node]))
             )
-        elif end.get(node, node) not in (None, tree.root):
+        elif end.get(node, node) is not None:
             violations.append(
-                Violation(ViolationKind.NO_ROOT, f"{node} does not reach root {tree.root}")
+                Violation(ViolationKind.NO_ROOT, f"{node} does not reach root {root}")
             )
     if tree.root in tree.parent and not any(
         v.kind is ViolationKind.CYCLE for v in violations

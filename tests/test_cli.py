@@ -429,7 +429,7 @@ class TestCmdPipeline:
         # default `--jobs` of a remote batch, so scenes run one at a time fail.
         in_flight = threading.Barrier(4, timeout=10)
 
-        def round_trip(tree, task, config):
+        def round_trip(tree, task, config, table=None):
             in_flight.wait()
             return reorganize(tree, task, BackendConfig(backend=Backend.RULE))
 
@@ -445,7 +445,9 @@ class TestCmdPipeline:
         monkeypatch.setattr(cli_mod, "time", SimpleNamespace(perf_counter=lambda: 0.0))
         monkeypatch.setattr(
             cli_mod, "reorganize",
-            lambda tree, task, config: reorganize(tree, task, BackendConfig(backend=Backend.RULE)),
+            lambda tree, task, config, table=None: reorganize(
+                tree, task, BackendConfig(backend=Backend.RULE)
+            ),
         )
         monkeypatch.setenv("SCENE_FOREST_ENDPOINT", "http://127.0.0.1:9/v1/chat/completions")
         data, single = tmp_path / "ds", tmp_path / "single"
@@ -576,7 +578,9 @@ class TestCmdPipeline:
         assert main(["gen", "--seed", "1", "--count", "6", "--out", str(data)]) == EXIT_OK
         monkeypatch.setattr(
             cli_mod, "reorganize",
-            lambda tree, task, config: reorganize(tree, task, BackendConfig(backend=Backend.RULE)),
+            lambda tree, task, config, table=None: reorganize(
+                tree, task, BackendConfig(backend=Backend.RULE)
+            ),
         )
         monkeypatch.setenv("SCENE_FOREST_ENDPOINT", "http://127.0.0.1:9/v1/chat/completions")
         compute = cli_mod.run_pipeline_for_scene
@@ -631,7 +635,7 @@ class TestRenderCalls:
         assert (len(trees), len(dots)) == (2 + 12, 2 + 12)
 
     def test_remote_scene_renders_its_prompt_once(self, tmp_path, monkeypatch):
-        from scene_forest import remote
+        from scene_forest import remote, treetext
         from test_remote import StubChatServer
 
         record = generate_synthetic_scene(0, 0)
@@ -647,15 +651,21 @@ class TestRenderCalls:
             prompts = self.count_calls(monkeypatch, remote, "serialize_tree")
             trees = self.count_calls(monkeypatch, cli_mod, "serialize_tree")
             dots = self.count_calls(monkeypatch, cli_mod, "to_dot")
+            # The prompt renders from the scene's one table, built by the CLI,
+            # so no renderer builds a table of its own.
+            tables = self.count_calls(monkeypatch, cli_mod, "text_table")
+            own_tables = self.count_calls(monkeypatch, treetext, "text_table")
             remote_run = ["--task", "make it tidy", "--backend", "remote"]
             assert main([
                 "pipeline", str(data / "a.json"), *remote_run, "--out", str(tmp_path / "one"),
             ]) == EXIT_OK
             assert (len(prompts), len(trees), len(dots)) == (1, 2, 2)
+            assert (len(tables), len(own_tables)) == (1, 0)
             assert main([
                 "pipeline", "--batch", str(data), *remote_run, "--out", str(tmp_path / "all"),
             ]) == EXIT_OK
             assert (len(prompts), len(trees), len(dots)) == (1 + 3, 2 + 6, 2 + 6)
+            assert (len(tables), len(own_tables)) == (1 + 3, 0)
             assert len(server.requests) == 4
         finally:
             server.close()

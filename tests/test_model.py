@@ -59,9 +59,9 @@ class TestAttributeSet:
         a = AttributeSet("medium", 250.5, "glass", "transparent")
         assert a.mass_grams == 250.5
 
-    @pytest.mark.parametrize("mass", [0, -3, float("inf"), float("nan")])
+    @pytest.mark.parametrize("mass", [0, -3, float("inf"), float("nan"), True, False])
     def test_bad_mass(self, mass):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="mass_grams must be positive and finite"):
             AttributeSet("low", mass, "wood", "opaque")
 
     @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from scene_forest.errors import (
     RootMismatch,
     UnknownId,
 )
-from scene_forest.model import MoveAction, Plan, SceneTree
+from scene_forest.model import FRAGILITY_LEVELS, MATERIALS, MoveAction, Plan, SceneTree
 from scene_forest.planner import PlanTrace, diff_trees, execute_plan, plan_moves
 from scene_forest.reorganize import (
     rule_group_by_material,
@@ -362,6 +362,60 @@ def test_replay_matches_fold_of_apply_move(case):
     initial, moves = case
     expected = _outcome(lambda: _fold_apply_move(initial, moves))
     assert _outcome(lambda: execute_plan(initial, Plan(tuple(moves)))) == expected
+
+
+# The tower shape of the benchmark's `large_scenes` workload.
+TOWER_HEIGHTS = (8, 1, 5, 2, 7, 3, 6, 4)
+
+
+def tower_tree(rng: random.Random, n: int) -> tuple[SceneTree, list[str]]:
+    """n objects with repeated labels, in shuffled order, stacked in towers
+    whose heights cycle through TOWER_HEIGHTS; in a tower of four or more,
+    the top object rests on the second one, so the tower branches. Returns
+    the tree and the ids in stacking order."""
+    labels = ["cup", "plate", "book", "box", "bowl", "bottle", "pen", "laptop"]
+    objects, counts = [make_table()], {}
+    for _ in range(n):
+        label = rng.choice(labels)
+        counts[label] = counts.get(label, 0) + 1
+        objects.append(make_object(
+            f"{label}_{counts[label]}",
+            fragility=rng.choice(FRAGILITY_LEVELS),
+            mass=round(rng.uniform(5.0, 2500.0), 1),
+            material=rng.choice(MATERIALS[:6]),
+        ))
+    ids = [o.id for o in objects[1:]]
+    rng.shuffle(ids)
+    parent, i, t = {}, 0, 0
+    while i < n:
+        tower = ids[i:i + TOWER_HEIGHTS[t % len(TOWER_HEIGHTS)]]
+        below = "table_1"
+        for node in tower:
+            parent[node], below = below, node
+        if len(tower) >= 4:
+            parent[tower[-1]] = tower[1]
+        i, t = i + len(tower), t + 1
+    return SceneTree("table_1", {o.id: o for o in objects}, parent), ids
+
+
+@pytest.mark.parametrize("n", [50, 200])
+@pytest.mark.parametrize("task", ["stack_all", "unstack_all", "group", "stack_object"])
+def test_plan_and_replay_match_references_on_towers(n, task):
+    # `tree_pairs` draws trees of at most 30 objects; these are the sizes
+    # and shapes the benchmark plans, each rule task included. The
+    # stack-object target sits in the middle of the first, 8-high tower.
+    for seed in range(3):
+        initial, ids = tower_tree(random.Random(f"{n}:{seed}"), n)
+        goal = {
+            "stack_all": rule_stack_all,
+            "unstack_all": rule_unstack_all,
+            "group": rule_group_by_material,
+            "stack_object": lambda tree: rule_stack_object(tree, ids[3]),
+        }[task](initial)
+        trace = plan_moves(initial, goal)
+        assert trace == reference_plan_moves(initial, goal), seed
+        final = execute_plan(initial, trace.plan)
+        assert final == _fold_apply_move(initial, trace.plan.moves) == goal, seed
 
 
 def test_plan_and_replay_scale_near_linearly():

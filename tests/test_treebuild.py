@@ -355,7 +355,10 @@ def reference_build_tree(triplets, objects):
             Violation(ViolationKind.CYCLE, "support cycle: " + " -> ".join(cycle))
         )
 
-    root, root_violation = _infer_root(usable, objects)
+    subjects = {t.subject for t in usable}
+    root, root_violation = _infer_root(
+        sorted(o.id for o in objects if o.id not in subjects), by_id
+    )
     if root_violation:
         violations.append(root_violation)
 
