@@ -43,10 +43,9 @@ def record_from_dict(data: dict) -> SceneRecord:
 
 def _record_from_dict(data: dict) -> SceneRecord:
     # Checks run in a fixed order and the first failure names the record's
-    # fault; messages are formatted only on failure. The checks of each
-    # value's constructor are made here, once, and the value is built
-    # through its slots' setters; a value that fails one goes to its
-    # constructor, which raises that check's message.
+    # fault; messages are formatted only on failure. Each value constructor's
+    # checks are made here, once, and a value that passes them is built
+    # through its slot setters; one that fails goes to its constructor to raise.
     if not isinstance(data, dict):
         raise SchemaError("record must be a JSON object")
     for key in ("scene_id", "objects", "captions"):
@@ -90,23 +89,21 @@ def _record_from_dict(data: dict) -> SceneRecord:
         seen_ids.add(obj_id)
         if not isinstance(mass, (int, float)) or isinstance(mass, bool):
             raise SchemaError("mass_grams must be a number")
-        if (
+        if not (
             fragility in FRAGILITY_LEVELS and material in MATERIALS
             and transparency in TRANSPARENCY_LEVELS and 0 < mass <= max_mass
             and id_match(obj_id) and label
-        ):
-            attributes = new(AttributeSet)
-            set_fragility(attributes, fragility)
-            set_mass(attributes, mass)
-            set_material(attributes, material)
-            set_transparency(attributes, transparency)
-            obj = new(ObjectInstance)
-            set_id(obj, obj_id)
-            set_label(obj, label)
-            set_attributes(obj, attributes)
-        else:
-            attributes = AttributeSet(fragility, mass, material, transparency)
-            obj = ObjectInstance(obj_id, label, attributes)
+        ):  # the constructors raise the first failed check's message
+            ObjectInstance(obj_id, label, AttributeSet(fragility, mass, material, transparency))
+        attributes = new(AttributeSet)
+        set_fragility(attributes, fragility)
+        set_mass(attributes, mass)
+        set_material(attributes, material)
+        set_transparency(attributes, transparency)
+        obj = new(ObjectInstance)
+        set_id(obj, obj_id)
+        set_label(obj, label)
+        set_attributes(obj, attributes)
         objects.append(obj)
 
     for caption in raw_captions:
@@ -158,11 +155,10 @@ def _record_from_dict(data: dict) -> SceneRecord:
     if not declared:  # the constructor raises the first such triplet's message
         return SceneRecord(scene_id, tuple(objects), tuple(raw_captions), triplets)
     record = new(SceneRecord)
-    set_scene_id, set_objects, set_captions, set_triplets = SceneRecord._setters
-    set_scene_id(record, scene_id)
-    set_objects(record, tuple(objects))
-    set_captions(record, tuple(raw_captions))
-    set_triplets(record, triplets)
+    for setter, value in zip(
+        SceneRecord._setters, (scene_id, tuple(objects), tuple(raw_captions), triplets)
+    ):
+        setter(record, value)
     return record
 
 

@@ -11,9 +11,8 @@ equal, so a value never equals a tuple of its fields. Equal values hash
 alike; a value holding a dict (a `SceneTree`) is unhashable.
 
 The record loader, `dataset.record_from_dict`, makes each constructor's
-checks itself, in the constructor's order, and builds a value that passes
-them through `object.__new__` and the class's `_setters`, so no check runs
-twice; a value that fails one goes through its constructor, which raises.
+checks itself and builds a value that passes them through `object.__new__`
+and the class's `_setters`; one that fails goes to its constructor to raise.
 """
 from __future__ import annotations
 
@@ -274,11 +273,10 @@ class SceneRecord(Value):
         captions: tuple[str, ...],
         triplets: tuple[SpatialTriplet, ...] | None = None,
     ):
-        ids = [o.id for o in objects]
-        if len(ids) != len(set(ids)):
+        known = {o.id for o in objects}
+        if len(known) != len(objects):
             raise DomainError(f"duplicate object ids in scene {scene_id!r}")
         if triplets is not None:
-            known = set(ids)
             for t in triplets:
                 if t.subject not in known or t.support not in known:
                     raise DomainError(

@@ -47,9 +47,7 @@ PROMPT_PREAMBLE = (
 )
 
 
-def build_messages(
-    tree: SceneTree, task: TaskSpec, table: TextTable | None = None
-) -> list[dict]:
+def build_messages(tree: SceneTree, task: TaskSpec, table: TextTable | None = None) -> list[dict]:
     """The prompt: fixed preamble as system message, tree block and task line
     as user message. `table`, if given, holds every object of `tree`."""
     user = f"{serialize_tree(tree, table)}\nTASK: {task.raw_prompt}\n"

@@ -151,9 +151,8 @@ def build_tree(
         )
 
     # The subjects of the triplets kept are the keys of `parent`.
-    root, root_violation = _infer_root(
-        sorted(o.id for o in objects if o.id not in parent), by_id
-    )
+    candidates = sorted(o.id for o in objects if o.id not in parent)
+    root, root_violation = _infer_root(candidates, by_id)
     if root_violation:
         violations.append(root_violation)
 
@@ -172,13 +171,10 @@ def build_tree(
 
 def validate_tree(tree: SceneTree) -> list[Violation]:
     """Check every SceneTree invariant; empty list means the tree is valid."""
-    violations: list[Violation] = []
-    if tree.root not in tree.nodes:
-        violations.append(
-            Violation(ViolationKind.UNKNOWN_ID, f"root {tree.root!r} not among nodes")
-        )
-        return violations
     nodes = tree.nodes
+    if tree.root not in nodes:
+        return [Violation(ViolationKind.UNKNOWN_ID, f"root {tree.root!r} not among nodes")]
+    violations: list[Violation] = []
     for child, support in tree.parent.items():
         if child not in nodes:
             violations.append(
@@ -194,18 +190,16 @@ def validate_tree(tree: SceneTree) -> list[Violation]:
     # A chain that runs into a cycle is reported once, as that cycle at its
     # least node; a chain that ends short of the root is a connectivity
     # breach. Those reports come in id order, after the unparented nodes.
-    end, cycles = _walk_chains(tree.parent)
     root, parent = tree.root, tree.parent
+    end, cycles = _walk_chains(parent)
     breaches = []
-    for node in tree.nodes:
-        if node in parent:
-            if end[node] != root:
-                breaches.append(node)
-        elif node != root:
-            violations.append(
-                Violation(ViolationKind.NO_ROOT, f"{node} has no parent and is not root")
-            )
+    for node in nodes:
+        if end.get(node, node) != root:
             breaches.append(node)
+            if node not in parent:
+                violations.append(
+                    Violation(ViolationKind.NO_ROOT, f"{node} has no parent and is not root")
+                )
     for node in sorted(breaches):
         if node in cycles:
             violations.append(
@@ -215,14 +209,9 @@ def validate_tree(tree: SceneTree) -> list[Violation]:
             violations.append(
                 Violation(ViolationKind.NO_ROOT, f"{node} does not reach root {root}")
             )
-    if tree.root in tree.parent and not any(
-        v.kind is ViolationKind.CYCLE for v in violations
-    ):
+    if root in parent and not any(v.kind is ViolationKind.CYCLE for v in violations):
         violations.append(
-            Violation(
-                ViolationKind.MULTIPLE_PARENTS,
-                f"root {tree.root} also appears as a child",
-            )
+            Violation(ViolationKind.MULTIPLE_PARENTS, f"root {root} also appears as a child")
         )
     return violations
 
